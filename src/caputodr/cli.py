@@ -21,11 +21,7 @@ DEFAULT_SWEEP = (10, 20, 40, 80, 160)
 
 def theoretical_exponent(method: Method, alpha: float) -> float:
     """Quadrature-error exponent the E_inf(N) slope is compared against."""
-    if method is Method.CDR:
-        return alpha - 2.0
-    if method is Method.SDR:
-        return alpha - 1.0
-    return 2.0 * alpha - 2.0
+    return method.weight_exponent(alpha) - 1.0
 
 
 def _parse_sweep(text: str):
@@ -102,7 +98,7 @@ def _echo(args, **extra) -> dict:
     return payload
 
 
-def cmd_deriv(args) -> report.ErrorReport:
+def cmd_deriv(args) -> None:
     label, signal, alpha, grid, exact_fn = _resolve_problem(args)
     method = Method(args.method)
     _stability_check(grid.step, args.N, method.weight_exponent(alpha))
@@ -116,19 +112,15 @@ def cmd_deriv(args) -> report.ErrorReport:
     report.write_pointwise_csv(csv_path, t, approx, exact_vals)
     report.write_gnuplot_script(
         f"{args.out}_pointwise.gp",
-        _basename(csv_path),
+        os.path.basename(csv_path),
         {"abs_err": 4, "rel_err": 5} if exact_vals is not None else {"approx": 2},
         f"{label} {method.value} {args.solver} N={args.N}",
     )
-    rep = report.ErrorReport(t=t, approx=approx, exact=exact_vals)
-    if exact_vals is not None:
-        rep.e_inf = max_error(approx, exact_vals)
+    e_inf = None if exact_vals is None else max_error(approx, exact_vals)
     report.write_meta(
         f"{args.out}.meta.json",
-        _echo(args, command="deriv", label=label, alpha=alpha, e_inf=rep.e_inf),
+        _echo(args, command="deriv", label=label, alpha=alpha, e_inf=e_inf),
     )
-    rep.provenance = _echo(args, command="deriv", label=label, alpha=alpha)
-    return rep
 
 
 def _sweep_errors(args, method, signal, alpha, grid, exact_vals):
@@ -141,7 +133,7 @@ def _sweep_errors(args, method, signal, alpha, grid, exact_vals):
     return np.array(errors)
 
 
-def cmd_convergence(args) -> report.ErrorReport:
+def cmd_convergence(args) -> None:
     if len(args.sweep) < 4:
         raise SystemExit("convergence needs a sweep of at least 4 orders")
     label, signal, alpha, grid, exact_fn = _resolve_problem(args)
@@ -157,13 +149,10 @@ def cmd_convergence(args) -> report.ErrorReport:
     report.write_sweep_csv(csv_path, args.sweep, errors)
     report.write_gnuplot_script(
         f"{args.out}_sweep.gp",
-        _basename(csv_path),
+        os.path.basename(csv_path),
         {"E_inf": 2},
         f"{label} {method.value} {args.solver} E_inf(N)",
         logscale=True,
-    )
-    rep = report.ErrorReport(
-        orders=np.array(args.sweep), e_inf_sweep=errors, e_inf=float(errors[-1]), fit=fit
     )
     meta = _echo(
         args,
@@ -176,8 +165,6 @@ def cmd_convergence(args) -> report.ErrorReport:
         theoretical_exponent=theoretical_exponent(method, alpha),
     )
     report.write_meta(f"{args.out}.meta.json", meta)
-    rep.provenance = meta
-    return rep
 
 
 def cmd_compare(args) -> dict:
@@ -198,7 +185,7 @@ def cmd_compare(args) -> dict:
     report.write_compare_csv(csv_path, args.sweep, errors)
     report.write_gnuplot_script(
         f"{args.out}_compare.gp",
-        _basename(csv_path),
+        os.path.basename(csv_path),
         {tag: i + 2 for i, tag in enumerate(errors)},
         f"{label} four-method E_inf(N), {args.solver}",
         logscale=True,
@@ -219,10 +206,6 @@ def cmd_nodes(args):
     report.write_nodes_csv(csv_path, rule)
     report.write_meta(f"{args.out}.meta.json", _echo(args, command="nodes"))
     return rule
-
-
-def _basename(path: str) -> str:
-    return os.path.basename(path)
 
 
 def _add_run_flags(p, sweep: bool):

@@ -19,6 +19,12 @@ consumes the Euler co-state.  ``fully_implicit=True`` switches the x1 row
 to the freshly updated x2 of the same scheme, which for the trapezoidal
 solver recovers the classical A-stable trapezoid rule.
 
+``_scheme`` is the single definition of every update: for each (method,
+solver, fully_implicit) it returns one step, which drives both
+``advance_euler``/``advance_trapezoid`` and ``caputo_derivative``.  The
+trapezoid's Euler co-state is the Euler step composed in, not a third
+copy of its formulas.
+
 Cost is O(n * N) for n time points and N quadrature nodes.
 """
 
@@ -101,10 +107,7 @@ class FractionalOrder:
 def _alpha_value(alpha) -> float:
     if isinstance(alpha, FractionalOrder):
         return alpha.alpha
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    return a
+    return FractionalOrder(float(alpha)).alpha
 
 
 @dataclass(frozen=True)
@@ -191,17 +194,64 @@ def initial_state(method: Method, alpha, order: int, initial_slope: float = 0.0)
     return DiffusiveState(x1=x1, x2=x2, index=1)
 
 
-def _stiffness(method: Method, nodes: np.ndarray) -> np.ndarray:
-    z2 = nodes * nodes
-    return z2 * z2 if method is Method.ISDR else z2
+def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
+    """Build the step of one scheme: the single definition of its update formulas.
 
-
-def _forcing_gain(method: Method, alpha, nodes: np.ndarray):
-    """Per-node multiplier applied to the forcing increment df."""
+    The per-node coefficients are computed once.  The returned
+    ``step(x1, x2, f_prev, f_curr, companion)`` maps the states at step k-1
+    to those at step k, given the forcing at t_{k-1} and t_k.  ``companion``
+    is the Euler co-state's x2 at step k; only the trapezoid x1 row reads
+    it, and only when not fully implicit.  YA has no x2 row and passes x2
+    through.
+    """
     kappa = method.forcing_coefficient(alpha)
-    if method is Method.ISDR:
-        return kappa * nodes * nodes
-    return kappa
+    z2 = nodes * nodes
+    if method is Method.YA:
+        if solver == "euler":
+            damp = 1.0 / (1.0 + h * z2)
+            hk = h * kappa
+
+            def step(x1, x2, f_prev, f_curr, companion):
+                return (x1 + hk * f_curr) * damp, x2
+
+        else:
+            damp = 1.0 / (1.0 + 0.5 * h * z2)
+            fac = 1.0 - 0.5 * h * z2
+            hk = 0.5 * h * kappa
+
+            def step(x1, x2, f_prev, f_curr, companion):
+                return (fac * x1 + hk * (f_prev + f_curr)) * damp, x2
+
+        return step
+
+    s = z2 * z2 if method is Method.ISDR else z2
+    gain = kappa * nodes * nodes if method is Method.ISDR else kappa
+    sh = s * h
+    if solver == "euler":
+        damp = 1.0 / (1.0 + s * h * h)
+
+        def step(x1, x2, f_prev, f_curr, companion):
+            x2_new = (x2 - sh * x1 + gain * (f_curr - f_prev)) * damp
+            return x1 + h * (x2_new if fully_implicit else x2), x2_new
+
+        return step
+
+    damp = 1.0 / (1.0 + 0.25 * s * h * h)
+    fac = 1.0 - 0.25 * s * h * h
+
+    def step(x1, x2, f_prev, f_curr, companion):
+        x2_new = (fac * x2 - sh * x1 + gain * (f_curr - f_prev)) * damp
+        return x1 + 0.5 * h * (x2 + (x2_new if fully_implicit else companion)), x2_new
+
+    return step
+
+
+def _advance(step, state: DiffusiveState, nodes: np.ndarray, forcing_prev, forcing_curr, companion):
+    if len(state.x1) != len(nodes):
+        raise ValueError("state and node arrays disagree in length")
+    x1, x2 = step(state.x1, state.x2, forcing_prev, forcing_curr, companion)
+    # YA passes x2 through; the new state must not share the old one's array
+    return DiffusiveState(x1=x1, x2=x2.copy() if x2 is state.x2 else x2, index=state.index + 1)
 
 
 def advance_euler(
@@ -219,18 +269,8 @@ def advance_euler(
     ``forcing_prev``/``forcing_curr`` are y'(t_{k-1}), y'(t_k) for YA and
     CDR and y(t_{k-1}), y(t_k) for SDR and ISDR.
     """
-    if len(state.x1) != len(nodes):
-        raise ValueError("state and node arrays disagree in length")
-    h = grid.step
-    if method is Method.YA:
-        kappa = method.forcing_coefficient(alpha)
-        x1 = (state.x1 + h * kappa * forcing_curr) / (1.0 + h * nodes * nodes)
-        return DiffusiveState(x1=x1, x2=state.x2.copy(), index=state.index + 1)
-    s = _stiffness(method, nodes)
-    df = _forcing_gain(method, alpha, nodes) * (forcing_curr - forcing_prev)
-    x2 = (state.x2 - s * h * state.x1 + df) / (1.0 + s * h * h)
-    x1 = state.x1 + h * (x2 if fully_implicit else state.x2)
-    return DiffusiveState(x1=x1, x2=x2, index=state.index + 1)
+    step = _scheme(method, "euler", alpha, nodes, grid.step, fully_implicit)
+    return _advance(step, state, nodes, forcing_prev, forcing_curr, None)
 
 
 def advance_trapezoid(
@@ -245,23 +285,8 @@ def advance_trapezoid(
     fully_implicit: bool = False,
 ) -> DiffusiveState:
     """One trapezoidal step; ``euler_state`` is the Euler co-state at step k."""
-    if len(state.x1) != len(nodes):
-        raise ValueError("state and node arrays disagree in length")
-    h = grid.step
-    if method is Method.YA:
-        kappa = method.forcing_coefficient(alpha)
-        z2h = nodes * nodes * h
-        x1 = ((1.0 - 0.5 * z2h) * state.x1 + 0.5 * h * kappa * (forcing_prev + forcing_curr)) / (
-            1.0 + 0.5 * z2h
-        )
-        return DiffusiveState(x1=x1, x2=state.x2.copy(), index=state.index + 1)
-    s = _stiffness(method, nodes)
-    df = _forcing_gain(method, alpha, nodes) * (forcing_curr - forcing_prev)
-    sh2 = s * h * h
-    x2 = ((1.0 - 0.25 * sh2) * state.x2 - s * h * state.x1 + df) / (1.0 + 0.25 * sh2)
-    companion = x2 if fully_implicit else euler_state.x2
-    x1 = state.x1 + 0.5 * h * (state.x2 + companion)
-    return DiffusiveState(x1=x1, x2=x2, index=state.index + 1)
+    step = _scheme(method, "trapezoid", alpha, nodes, grid.step, fully_implicit)
+    return _advance(step, state, nodes, forcing_prev, forcing_curr, euler_state.x2)
 
 
 def _sample(func, times: np.ndarray) -> np.ndarray:
@@ -318,62 +343,23 @@ def caputo_derivative(
     times = grid.times()
     n = grid.count
     f, yp0 = _forcing_samples(method, signal, times, h)
+    # Python floats index and combine faster per step than numpy scalars,
+    # with the same IEEE double arithmetic
+    f = f.tolist()
 
+    step = _scheme(method, solver, a, z, h, fully_implicit)
+    # the non-fully-implicit trapezoid x1 row reads the Euler co-state's x2;
+    # YA has no x2 row and needs no co-state
+    euler = None
+    if solver == "trapezoid" and not fully_implicit and method is not Method.YA:
+        euler = _scheme(method, "euler", a, z, h, False)
+    start = initial_state(method, a, order, yp0)
+    x1, x2 = e1, e2 = start.x1, start.x2
     out = np.zeros(n)
-    if method is Method.YA:
-        kappa = method.forcing_coefficient(a)
-        x1 = np.zeros(order)
-        z2 = z * z
-        if solver == "euler":
-            damp = 1.0 / (1.0 + h * z2)
-            for k in range(1, n):
-                x1 = (x1 + h * kappa * f[k]) * damp
-                out[k] = ws @ x1
-        else:
-            damp = 1.0 / (1.0 + 0.5 * h * z2)
-            fac = 1.0 - 0.5 * h * z2
-            for k in range(1, n):
-                x1 = (fac * x1 + 0.5 * h * kappa * (f[k - 1] + f[k])) * damp
-                out[k] = ws @ x1
-        return out
-
-    s = _stiffness(method, z)
-    gain = _forcing_gain(method, a, z)
-    x1 = np.zeros(order)
-    x2 = np.full(order, method.forcing_coefficient(a) * yp0) if method is Method.CDR else np.zeros(order)
-    if solver == "euler":
-        damp = 1.0 / (1.0 + s * h * h)
-        sh = s * h
-        for k in range(1, n):
-            df = gain * (f[k] - f[k - 1])
-            x2_new = (x2 - sh * x1 + df) * damp
-            x1 = x1 + h * (x2_new if fully_implicit else x2)
-            x2 = x2_new
-            out[k] = ws @ x1
-        return out
-
-    damp_t = 1.0 / (1.0 + 0.25 * s * h * h)
-    fac_t = 1.0 - 0.25 * s * h * h
-    sh = s * h
-    if fully_implicit:
-        for k in range(1, n):
-            df = gain * (f[k] - f[k - 1])
-            x2_new = (fac_t * x2 - sh * x1 + df) * damp_t
-            x1 = x1 + 0.5 * h * (x2 + x2_new)
-            x2 = x2_new
-            out[k] = ws @ x1
-        return out
-    damp_e = 1.0 / (1.0 + s * h * h)
-    e1 = x1.copy()
-    e2 = x2.copy()
     for k in range(1, n):
-        df = gain * (f[k] - f[k - 1])
-        e2_new = (e2 - sh * e1 + df) * damp_e
-        e1 = e1 + h * e2
-        e2 = e2_new
-        x2_new = (fac_t * x2 - sh * x1 + df) * damp_t
-        x1 = x1 + 0.5 * h * (x2 + e2)
-        x2 = x2_new
+        if euler is not None:
+            e1, e2 = euler(e1, e2, f[k - 1], f[k], None)
+        x1, x2 = step(x1, x2, f[k - 1], f[k], e2)
         out[k] = ws @ x1
     return out
 

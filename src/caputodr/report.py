@@ -8,8 +8,7 @@ time- or host-dependent goes to a JSON sidecar instead.
 import json
 import platform
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ REL_ERR_FLOOR = 1e-14
 
 __all__ = [
     "SlopeFit",
-    "ErrorReport",
     "fit_loglog",
     "write_pointwise_csv",
     "read_pointwise_csv",
@@ -71,37 +69,6 @@ def fit_loglog(orders, errors) -> SlopeFit:
         slope, intercept, stderr, _ = _ols(x[1:], y[1:])
         return SlopeFit(slope, intercept, stderr, excluded_smallest=True)
     return SlopeFit(slope, intercept, stderr)
-
-
-@dataclass
-class ErrorReport:
-    """Bundle of a run's outputs: per-point table and/or an E_inf sweep."""
-
-    t: Optional[np.ndarray] = None
-    approx: Optional[np.ndarray] = None
-    exact: Optional[np.ndarray] = None
-    orders: Optional[np.ndarray] = None
-    e_inf_sweep: Optional[np.ndarray] = None
-    e_inf: Optional[float] = None
-    fit: Optional[SlopeFit] = None
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def abs_err(self):
-        if self.approx is None or self.exact is None:
-            return None
-        return np.abs(self.approx - self.exact)
-
-    @property
-    def rel_err(self):
-        """Relative errors, NaN wherever |exact| sits below the floor."""
-        ae = self.abs_err
-        if ae is None:
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = ae / np.abs(self.exact)
-        out[np.abs(self.exact) < REL_ERR_FLOOR] = np.nan
-        return out
 
 
 def _fmt(x) -> str:

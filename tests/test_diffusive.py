@@ -10,7 +10,9 @@ from caputodr import (
     TimeGrid,
     advance_euler,
     advance_trapezoid,
+    builtin_cases,
     caputo_derivative,
+    gauss_laguerre,
     initial_state,
     kernel_reference,
     max_error,
@@ -283,6 +285,34 @@ class TestCaputoDerivative:
     def test_solver_validation(self):
         with pytest.raises(ValueError):
             caputo_derivative(Method.CDR, "rk4", 0.5, 10, self.GRID, QUADRATIC)
+
+
+class TestSchemeEquivalence:
+    """caputo_derivative equals W . x1 stepped through the public advance ops."""
+
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_advance_ops(self, method, solver, fully_implicit):
+        # sine has y'(0) = 1, so CDR starts from a nonzero x2
+        case = builtin_cases()["sine"]
+        alpha, order = case.alpha, 12
+        grid = TimeGrid(horizon=case.horizon, count=400)
+        times = grid.times()
+        fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
+        rule = gauss_laguerre(order, method.weight_exponent(alpha))
+        state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
+        ref = np.zeros(grid.count)
+        for k in range(1, grid.count):
+            args = (rule.nodes, grid, fv[k - 1], fv[k])
+            if solver == "euler":
+                state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
+            else:
+                euler = advance_euler(method, alpha, euler, *args)
+                state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
+            ref[k] = rule.scaled_weights @ state.x1
+        out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _poly_signal(coeffs):
