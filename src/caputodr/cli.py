@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import report
-from .diffusive import Method, Signal, TimeGrid, caputo_derivative, max_error
+from .diffusive import Method, Signal, TimeGrid, _require_finite, caputo_derivative, max_error
 from .oracle import builtin_cases
 from .quadrature import gauss_laguerre
 
@@ -51,6 +51,7 @@ def load_samples(path):
     values = np.array(values)
     if len(times) < 2:
         raise ValueError("sample file needs at least two rows")
+    _require_finite(times, values)
     if times[0] != 0.0:
         raise ValueError("sample grid must start at t=0")
     h = (times[-1] - times[0]) / (len(times) - 1)

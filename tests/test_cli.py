@@ -204,6 +204,15 @@ class TestSampleLoading:
         with pytest.raises(ValueError, match="t=0"):
             load_samples(f)
 
+    def test_non_finite_row(self, tmp_path, capsys):
+        f = tmp_path / "bad.csv"
+        f.write_text("t,y\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
+        with pytest.raises(ValueError, match="row 2 is not finite"):
+            load_samples(f)
+        code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sample row 2 is not finite")
+
 
 class TestConvergenceCommand:
     def test_sweep_outputs(self, tmp_path):

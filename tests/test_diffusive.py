@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from caputodr import (
     kernel_reference,
     max_error,
 )
+from caputodr import diffusive
 from caputodr.oracle import exact_power
 
 QUADRATIC = Signal(y=lambda t: t * t, y_prime=lambda t: 2.0 * t)
@@ -57,6 +59,13 @@ class TestTypes:
         np.testing.assert_allclose(sig.y(times), times**2)
         with pytest.raises(ValueError):
             sig.y(1.5)
+
+    def test_signal_from_samples_rejects_non_finite(self):
+        times = np.linspace(0.0, 1.0, 11)
+        values = times**2
+        values[6] = np.nan
+        with pytest.raises(ValueError, match="row 7 is not finite"):
+            Signal.from_samples(times, values)
 
     def test_method_exponents(self):
         a = 0.6
@@ -313,6 +322,62 @@ class TestSchemeEquivalence:
             ref[k] = rule.scaled_weights @ state.x1
         out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestBlockBoundaries:
+    """caputo_derivative around the edges of its blocks of time steps."""
+
+    B = diffusive._BLOCK
+
+    @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_advance_ops(self, method, solver, fully_implicit, steps):
+        case = builtin_cases()["sine"]
+        alpha, order = case.alpha, 12
+        grid = TimeGrid(horizon=case.horizon, count=steps + 1)
+        times = grid.times()
+        fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
+        rule = gauss_laguerre(order, method.weight_exponent(alpha))
+        state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
+        ref = np.zeros(grid.count)
+        for k in range(1, grid.count):
+            args = (rule.nodes, grid, fv[k - 1], fv[k])
+            if solver == "euler":
+                state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
+            else:
+                euler = advance_euler(method, alpha, euler, *args)
+                state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
+            ref[k] = rule.scaled_weights @ state.x1
+        out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
+        assert out[0] == 0.0
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestSampleFallback:
+    TIMES = np.linspace(0.0, 1.0, 7)
+
+    def test_scalar_callable_is_logged(self, caplog):
+        # bessel_j takes scalars only, so the Bessel signal falls back
+        y = builtin_cases()["bessel"].signal.y
+        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
+            out = diffusive._sample(y, self.TIMES)
+        np.testing.assert_array_equal(out, [y(t) for t in self.TIMES])
+        assert "sampling _bessel_signal.<locals>.y point by point" in caplog.text
+
+    def test_vectorized_callable_is_silent(self, caplog):
+        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
+            out = diffusive._sample(np.sin, self.TIMES)
+        np.testing.assert_array_equal(out, np.sin(self.TIMES))
+        assert not caplog.records
+
+    def test_other_errors_propagate(self):
+        def broken(t):
+            raise RuntimeError("broken signal")
+
+        with pytest.raises(RuntimeError, match="broken signal"):
+            diffusive._sample(broken, self.TIMES)
 
 
 def _poly_signal(coeffs):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,28 @@ class TestGaussLaguerre:
         rule = quadrature.gauss_laguerre(order, gamma)
         ref = christoffel_scaled_weights(rule.nodes, gamma)
         assert np.max(np.abs(rule.scaled_weights / ref - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("gamma", [-0.6, 0.2])
+    def test_top_scaled_weight_at_order_300(self, gamma):
+        # smallest first component ~1e-252, still a normal double; closed
+        # form W = Gamma(n+g+1) z e^z / (n! (n+1)^2 L_{n+1}^(g)(z)^2)
+        order = 300
+        rule = quadrature.gauss_laguerre(order, gamma)
+        with mpmath.workdps(40):
+            z = mpmath.mpf(rule.nodes[-1])
+            laguerre = mpmath.laguerre(order + 1, gamma, z)
+            exact = (
+                mpmath.gamma(order + gamma + 1) * z * mpmath.exp(z)
+                / (mpmath.factorial(order) * (order + 1) ** 2 * laguerre**2)
+            )
+        assert abs(float(rule.scaled_weights[-1] / exact) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("order", [370, 380])
+    def test_subnormal_components_rejected(self, order):
+        # these orders used to build silently, with the top weight off by
+        # up to 6e-3 (order 380)
+        with pytest.raises(RuntimeError, match="subnormal"):
+            quadrature.gauss_laguerre(order, -0.4)
 
 
 class TestIntegrate:
