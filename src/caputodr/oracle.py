@@ -35,10 +35,7 @@ def exact_power(p: float, alpha, t):
 
 def exact_sin(alpha, t):
     """Caputo derivative of sin t, by its alternating series."""
-    a = _alpha_value(alpha)
-    if np.ndim(t):
-        return np.array([specfun.caputo_sin_series(a, float(ti), 1e-15) for ti in t])
-    return specfun.caputo_sin_series(a, float(t), 1e-15)
+    return specfun.caputo_sin_series(_alpha_value(alpha), t, 1e-15)
 
 
 def exact_bessel(nu: float, alpha, t):
@@ -46,15 +43,9 @@ def exact_bessel(nu: float, alpha, t):
     a = _alpha_value(alpha)
     if nu - a <= -1.0:
         raise ValueError(f"need nu - alpha > -1, got nu={nu:g}, alpha={a:g}")
-
-    def one(ti):
-        if ti < 0.0:
-            raise ValueError(f"t must be non-negative, got {ti!r}")
-        return ti ** (0.5 * (nu - a)) * specfun.bessel_j(nu - a, 2.0 * np.sqrt(ti))
-
-    if np.ndim(t):
-        return np.array([one(float(ti)) for ti in t])
-    return one(float(t))
+    ts = specfun._nonnegative("t", t)
+    out = ts ** (0.5 * (nu - a)) * specfun.bessel_j(nu - a, 2.0 * np.sqrt(ts))
+    return specfun._shaped(out, t)
 
 
 def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:

@@ -1,10 +1,16 @@
-"""Scalar special functions backing the exact-derivative oracles.
+"""Special functions backing the exact-derivative oracles.
 
+``bessel_j`` and ``caputo_sin_series`` work elementwise over arrays: each
+element runs its own series and stops at its own term, so an array call
+gives what calls on its elements one at a time give (up to the last ulp
+of a power).  ``gamma`` is scalar; the series need it once per call.
 Everything here is plain double precision; callers needing more digits
 should cross-check externally (the test suite does).
 """
 
 import math
+
+import numpy as np
 
 __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 
@@ -48,51 +54,84 @@ def gamma(x: float) -> float:
     return _SQRT_TWO_PI * acc * p * (p * math.exp(-t))
 
 
-def bessel_j(nu: float, x: float, max_terms: int = 200) -> float:
+def _nonnegative(name: str, value) -> np.ndarray:
+    """``value`` as a float array; a negative element raises, naming its value."""
+    arr = np.asarray(value, dtype=float)
+    bad = arr < 0.0
+    if bad.any():
+        raise ValueError(f"{name} must be non-negative, got {name}={arr[bad].flat[0]:g}")
+    return arr
+
+
+def _shaped(arr: np.ndarray, like):
+    """``arr``, or a Python float when ``like`` is a scalar."""
+    return arr if np.ndim(like) else float(arr)
+
+
+def bessel_j(nu: float, x, max_terms: int = 200):
     """Bessel function of the first kind J_nu(x) by its ascending series.
 
-    Intended for nu > -1 and small non-negative x (the series is summed
-    until a term drops below 1e-16 of the running sum, which is fast and
-    accurate for x up to roughly 10; this library only needs x in [0, 4]).
+    ``x`` is a float or an array of any shape; the result is a float or an
+    array of that shape.  Intended for nu > -1 and small non-negative x
+    (each element's series is summed until a term drops below 1e-16 of its
+    running sum, which is fast and accurate for x up to roughly 10; this
+    library only needs x in [0, 4]).
     """
     if nu <= -1.0:
         raise ValueError(f"bessel_j requires nu > -1, got nu={nu:g}")
-    if x < 0.0:
-        raise ValueError(f"bessel_j requires x >= 0, got x={x:g}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    half = 0.5 * x
-    term = half**nu / gamma(nu + 1.0)
-    total = term
+    xs = _nonnegative("x", x)
+    out = np.full(xs.shape, 1.0 if nu == 0.0 else 0.0)
+    flat = out.reshape(-1)
+    live = np.flatnonzero(xs)
+    hh = 0.5 * xs.reshape(-1)[live]
+    term = hh**nu / gamma(nu + 1.0)
+    total = term.copy()
+    hh *= hh
     for m in range(1, max_terms):
-        term *= -(half * half) / (m * (nu + m))
+        if not live.size:
+            break
+        term *= -hh / (m * (nu + m))
         total += term
-        if abs(term) < 1e-16 * abs(total) + 1e-300:
-            return total
-    raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={x:g}")
+        done = np.abs(term) < 1e-16 * np.abs(total) + 1e-300
+        flat[live[done]] = total[done]
+        keep = ~done
+        live, hh, term, total = live[keep], hh[keep], term[keep], total[keep]
+    if live.size:
+        bad = xs.reshape(-1)[live[0]]
+        raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={bad:g}")
+    return _shaped(out, x)
 
 
-def caputo_sin_series(alpha: float, t: float, tol: float = 1e-15) -> float:
+def caputo_sin_series(alpha: float, t, tol: float = 1e-15):
     """Fractional derivative of sin at order ``alpha`` in (0, 1).
 
-    Evaluates t^(1-alpha) * sum_k (-t^2)^k / Gamma(2k+2-alpha), truncating
-    once a term falls below ``tol`` of the partial sum (with an absolute
-    floor so t=0 terminates immediately).
+    Evaluates t^(1-alpha) * sum_k (-t^2)^k / Gamma(2k+2-alpha) elementwise
+    over a float or an array ``t``, truncating each element's series once a
+    term falls below ``tol`` of its partial sum (with an absolute floor);
+    t=0 gives 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t:g}")
-    if t == 0.0:
-        return 0.0
-    tt = t * t
-    term = 1.0 / gamma(2.0 - alpha)
-    total = term
+    ts = _nonnegative("t", t)
+    out = np.zeros(ts.shape)
+    flat = out.reshape(-1)
+    nonzero = live = np.flatnonzero(ts)
+    tt = ts.reshape(-1)[live]
+    tt *= tt
+    term = np.full(live.size, 1.0 / gamma(2.0 - alpha))
+    total = term.copy()
     k = 0
-    while abs(term) >= tol * abs(total) + 1e-300:
+    while True:
+        done = np.abs(term) < tol * np.abs(total) + 1e-300
+        flat[live[done]] = total[done]
+        keep = ~done
+        live, tt, term, total = live[keep], tt[keep], term[keep], total[keep]
+        if not live.size:
+            break
         term *= -tt / ((2 * k + 2.0 - alpha) * (2 * k + 3.0 - alpha))
         total += term
         k += 1
         if k > 1000:
             raise RuntimeError("caputo_sin_series failed to converge")
-    return t ** (1.0 - alpha) * total
+    flat[nonzero] *= ts.reshape(-1)[nonzero] ** (1.0 - alpha)
+    return _shaped(out, t)

@@ -142,6 +142,12 @@ class TestDerivCommand:
         run_cli(["deriv", "--case", "cubic", "--method", "CDR", "--N", "160", "--n", "101", "--out", str(out)])
         assert "h*z_max^2" in capsys.readouterr().err
 
+    def test_compare_warns_once(self, tmp_path, capsys):
+        run_cli(["compare", "--case", "cubic", "--out", str(tmp_path / "cmp")])
+        err = capsys.readouterr().err
+        assert err.count("h*z_max^2") == 1
+        assert "phase" in err and "stability" not in err
+
     def test_fully_implicit_flag_changes_output(self, tmp_path):
         base, variant = tmp_path / "base", tmp_path / "fi"
         args = ["deriv", "--case", "cubic", "--method", "CDR", "--N", "15", "--n", "101"]

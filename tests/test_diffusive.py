@@ -359,18 +359,31 @@ class TestSampleFallback:
     TIMES = np.linspace(0.0, 1.0, 7)
 
     def test_scalar_callable_is_logged(self, caplog):
-        # bessel_j takes scalars only, so the Bessel signal falls back
-        y = builtin_cases()["bessel"].signal.y
+        # math.sin rejects arrays, so this callable falls back
+        def scalar_sin(t):
+            return math.sin(t)
+
         with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
-            out = diffusive._sample(y, self.TIMES)
-        np.testing.assert_array_equal(out, [y(t) for t in self.TIMES])
-        assert "sampling _bessel_signal.<locals>.y point by point" in caplog.text
+            out = diffusive._sample(scalar_sin, self.TIMES)
+        np.testing.assert_array_equal(out, [scalar_sin(t) for t in self.TIMES])
+        assert f"sampling {scalar_sin.__qualname__} point by point" in caplog.text
 
     def test_vectorized_callable_is_silent(self, caplog):
         with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
             out = diffusive._sample(np.sin, self.TIMES)
         np.testing.assert_array_equal(out, np.sin(self.TIMES))
         assert not caplog.records
+
+    @pytest.mark.parametrize("name", sorted(builtin_cases()))
+    def test_builtin_cases_are_vectorized(self, name, caplog):
+        case = builtin_cases()[name]
+        times = TimeGrid(horizon=case.horizon, count=1000).times()
+        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
+            diffusive._sample(case.signal.y, times)
+            diffusive._sample(case.signal.y_prime, times)
+        assert not caplog.records
+        exact = case.exact(times)
+        assert isinstance(exact, np.ndarray) and exact.shape == times.shape
 
     def test_other_errors_propagate(self):
         def broken(t):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +46,18 @@ class TestExactSin:
     def test_matches_series(self):
         assert exact_sin(0.5, 1.0) == pytest.approx(caputo_sin_series(0.5, 1.0, 1e-15), rel=1e-15)
 
+    def test_array_against_mpmath(self):
+        # sum_k (-1)^k t^(2k+1-a) / Gamma(2k+2-a)
+        t = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
+        got = exact_sin(0.5, t)
+        assert got.shape == t.shape and got[0] == 0.0
+        for ti, gi in zip(t[1:], got[1:]):
+            ref = mpmath.nsum(
+                lambda k: (-1) ** k * mpmath.mpf(ti) ** (2 * k + 0.5) / mpmath.gamma(2 * k + 1.5),
+                [0, mpmath.inf],
+            )
+            assert gi == pytest.approx(float(ref), rel=1e-13)
+
 
 class TestExactBessel:
     def test_origin(self):
@@ -58,9 +71,21 @@ class TestExactBessel:
         for t in (0.25, 0.5, 1.0):
             assert abs(exact_bessel(3.0, 1e-5, t) - case.signal.y(t)) <= 1e-4
 
+    def test_array_against_mpmath(self):
+        t = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
+        got = exact_bessel(3.0, 0.5, t)
+        assert got.shape == t.shape and got[0] == 0.0
+        for ti, gi in zip(t[1:], got[1:]):
+            ref = mpmath.mpf(ti) ** 1.25 * mpmath.besselj(2.5, 2 * mpmath.sqrt(ti))
+            assert gi == pytest.approx(float(ref), rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             exact_bessel(-0.6, 0.5, 1.0)
+
+    def test_array_with_negative_entry(self):
+        with pytest.raises(ValueError, match="-1"):
+            exact_bessel(3.0, 0.5, np.array([0.5, -1.0]))
 
 
 class TestCaputoL1:

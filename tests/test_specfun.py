@@ -66,6 +66,25 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             specfun.bessel_j(-1.5, 1.0)
 
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.5, 3.0])
+    def test_array_against_mpmath(self, nu):
+        x = np.array([[0.0, 0.05, 0.3, 1.0], [1.7, 0.0, 2.9, 4.0]])
+        got = specfun.bessel_j(nu, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        for xi, gi in zip(x.flat, got.flat):
+            if xi == 0.0:
+                assert gi == (1.0 if nu == 0.0 else 0.0)
+            else:
+                assert gi == pytest.approx(float(mpmath.besselj(nu, xi)), rel=1e-12)
+
+    def test_scalar_returns_float(self):
+        assert type(specfun.bessel_j(2.5, 1.5)) is float
+        assert type(specfun.bessel_j(2.5, np.float64(0.0))) is float
+
+    def test_array_with_negative_entry(self):
+        with pytest.raises(ValueError, match="-0.25"):
+            specfun.bessel_j(1.0, np.array([0.5, -0.25, 1.0]))
+
     def test_recurrence(self):
         # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x)
         for nu in (1.0, 2.0, 3.0):
@@ -92,3 +111,19 @@ class TestCaputoSinSeries:
             specfun.caputo_sin_series(1.2, 1.0)
         with pytest.raises(ValueError):
             specfun.caputo_sin_series(0.5, -1.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_array_matches_scalar_calls(self, alpha):
+        t = np.concatenate(([0.0], np.linspace(1e-3, 3.0, 61)))
+        got = specfun.caputo_sin_series(alpha, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        for ti, gi in zip(t, got):
+            assert gi == pytest.approx(specfun.caputo_sin_series(alpha, float(ti)), rel=1e-15)
+
+    def test_scalar_returns_float(self):
+        assert type(specfun.caputo_sin_series(0.5, 1.0)) is float
+        assert type(specfun.caputo_sin_series(0.5, 0.0)) is float
+
+    def test_array_with_negative_entry(self):
+        with pytest.raises(ValueError, match="-2"):
+            specfun.caputo_sin_series(0.5, np.array([1.0, 0.0, -2.0]))
