@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import report
+from . import diffusive, report
 from .diffusive import Method, Signal, TimeGrid, _require_finite, caputo_derivative, max_error
 from .oracle import builtin_cases
 from .quadrature import gauss_laguerre
@@ -65,9 +65,10 @@ def _phase_check(h: float, order: int, gamma: float) -> None:
     """Warn when h*z_max^2 >= 1 for the rule of this order and weight exponent.
 
     The states stay stable (the semi-implicit Euler propagator has det A = 1);
-    the warning is that the step does not resolve the top nodes' phase.
+    the warning is that the step does not resolve the top nodes' phase.  The
+    top node is read off the cached rule, which the run builds anyway.
     """
-    z_top = 4.0 * order + 2.0 * gamma + 6.0
+    z_top = float(diffusive._cached_rule(order, gamma).nodes[-1])
     if h * z_top * z_top >= 1.0:
         print(
             f"warning: h*z_max^2 = {h * z_top * z_top:.3g} >= 1 (N={order}): the step "

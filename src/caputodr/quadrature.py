@@ -1,13 +1,14 @@
 """Generalized Gauss-Laguerre quadrature for the weight z^gamma * exp(-z).
 
-Rules are built with the Golub-Welsch procedure: nodes are eigenvalues of
-the symmetric tridiagonal Jacobi matrix of the recurrence, weights come
-from the first components of its normalized eigenvectors.  The eigenproblem
-is solved by an implicit-shift QL sweep that tracks only those first
-components; tracking them through the rotations keeps their *relative*
-accuracy even when they shrink to ~1e-130, which dense eigensolvers do not
-(they only deliver absolute accuracy, so w_i * exp(z_i) would be garbage at
-large nodes).
+Nodes follow Golub and Welsch: they are the eigenvalues of the symmetric
+tridiagonal Jacobi matrix of the three-term recurrence, taken from LAPACK
+(``numpy.linalg.eigvalsh``) and polished by one Newton step on the
+recurrence.  No eigenvectors are computed.  Weights are the Christoffel
+numbers w_i = 1 / sum_{k<N} p_k(z_i)^2 of the orthonormal polynomials p_k
+(Hale and Townsend), summed along the same recurrence with the scale kept
+as a logarithm.  The exp-scaled weights w_i * exp(z_i) are then formed in
+log space, so they stay accurate at the top nodes, where w_i itself
+underflows to zero (from order ~200 on).
 """
 
 import math
@@ -17,7 +18,10 @@ import numpy as np
 
 __all__ = ["QuadratureRule", "jacobi_matrix", "gauss_laguerre", "integrate"]
 
-_MAX_QL_SWEEPS = 30
+# The dense Jacobi matrix holds order^2 doubles: 32 MB at the limit.
+_MAX_ORDER = 2000
+_MASS_TOL = 1e-12
+_LOG_1E100 = 100.0 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -52,69 +56,35 @@ def jacobi_matrix(order: int, gamma: float):
     return diag, offdiag
 
 
-def _tridiag_eigen(diag, offdiag):
-    """Eigenvalues and first eigenvector components, implicit-shift QL.
+def _recurrence(z, diag, offdiag):
+    """Newton step q_N(z)/q_N'(z) and log sum_{k<N} q_k(z)^2 at each node.
 
-    EISPACK gausq2/imtql2 lineage.  Off-diagonals are declared negligible
-    relative to their neighbouring diagonals; each eigenvalue gets at most
-    _MAX_QL_SWEEPS sweeps before the iteration is abandoned.
+    q_k are the polynomials orthonormal for z^gamma exp(-z) / Gamma(gamma+1)
+    (q_0 = 1), run through the three-term recurrence of the Jacobi matrix,
+    with q_N left unnormalized (its roots and q_N/q_N' do not depend on the
+    scale).  Wherever |q_k| passes 1e100 the running values are scaled by
+    1e-100 and the scale is carried as a logarithm, so nothing overflows.
     """
-    n = len(diag)
-    d = np.array(diag, dtype=float)
-    e = np.zeros(n)
-    e[: n - 1] = offdiag
-    v = np.zeros(n)
-    v[0] = 1.0
-    eps = np.finfo(float).eps
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if sweeps == _MAX_QL_SWEEPS:
-                raise RuntimeError(
-                    f"QL iteration failed to converge for eigenvalue {l} of {n}"
-                )
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                # Form the rotation from the larger of f, g to avoid overflow.
-                if abs(f) < abs(g):
-                    s = f / g
-                    r = math.hypot(s, 1.0)
-                    e[i + 1] = g * r
-                    c = 1.0 / r
-                    s *= c
-                else:
-                    c = g / f
-                    r = math.hypot(c, 1.0)
-                    e[i + 1] = f * r
-                    s = 1.0 / r
-                    c *= s
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = v[i + 1]
-                v[i + 1] = s * v[i] + c * f
-                v[i] = c * v[i] - s * f
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    order = np.argsort(d)
-    return d[order], v[order]
+    e = [0.0] + offdiag.tolist()
+    q_prev, q = np.zeros_like(z), np.ones_like(z)
+    dq_prev, dq = np.zeros_like(z), np.zeros_like(z)
+    total = np.ones_like(z)
+    log_scale = np.zeros_like(z)
+    for k, a in enumerate(diag[:-1].tolist()):
+        q_next = ((z - a) * q - e[k] * q_prev) / e[k + 1]
+        dq_next = (q + (z - a) * dq - e[k] * dq_prev) / e[k + 1]
+        q_prev, q, dq_prev, dq = q, q_next, dq, dq_next
+        big = np.abs(q) > 1e100
+        if big.any():
+            for arr in (q_prev, q, dq_prev, dq):
+                arr[big] *= 1e-100
+            total[big] *= 1e-200
+            log_scale[big] += _LOG_1E100
+        total += q * q
+    a = diag[-1]
+    q_top = (z - a) * q - e[-1] * q_prev
+    dq_top = q + (z - a) * dq - e[-1] * dq_prev
+    return q_top / dq_top, np.log(total) + 2.0 * log_scale
 
 
 def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
@@ -122,25 +92,34 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
 
     Exact (up to rounding) on polynomials of degree <= 2N-1.  Scaled weights
     w_i * exp(z_i) are exponentiated once from
-    log W_i = log Gamma(gamma+1) + 2 log|v_i1| + z_i, never forming exp(z_i)
-    on its own.
+    log W_i = log Gamma(gamma+1) + z_i - log sum_k q_k(z_i)^2, never forming
+    exp(z_i) on its own.  Raises ValueError above order 2000, and
+    RuntimeError when the weights miss Gamma(gamma+1) by more than 1e-12
+    relative (seen for some gamma from order ~1100 on).
     """
-    diag, offdiag = jacobi_matrix(order, gamma)
-    nodes, first = _tridiag_eigen(diag, offdiag)
-    # Components below the smallest normal double have lost relative
-    # precision (the top weight is already off by 6e-3 at order 380).
-    smallest = float(np.min(np.abs(first)))
-    if smallest < np.finfo(float).tiny:
-        raise RuntimeError(
-            f"eigenvector components underflowed at order {order}: the smallest, "
-            f"{smallest:.3g}, is subnormal or zero; rule construction is "
-            "unreliable past roughly order 300"
+    if order > _MAX_ORDER:
+        raise ValueError(
+            f"order {order} exceeds {_MAX_ORDER}: the dense Jacobi matrix would "
+            f"need {8 * order * order / 1e6:.3g} MB"
         )
-    log_w = math.lgamma(gamma + 1.0) + 2.0 * np.log(np.abs(first))
+    diag, offdiag = jacobi_matrix(order, gamma)
+    matrix = np.diag(diag)
+    np.fill_diagonal(matrix[1:], offdiag)  # lower triangle, as eigvalsh reads it
+    guess = np.linalg.eigvalsh(matrix)
+    step, _ = _recurrence(guess, diag, offdiag)
+    nodes = guess - step
+    _, log_sum = _recurrence(nodes, diag, offdiag)
+    if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
+        raise RuntimeError("computed nodes are not strictly increasing and positive")
+    mass_error = math.fsum(np.exp(-log_sum).tolist()) - 1.0
+    if not abs(mass_error) <= _MASS_TOL:
+        raise RuntimeError(
+            f"weights of the order-{order} rule sum to Gamma(gamma+1) only to "
+            f"{mass_error:.3g} relative (tolerance {_MASS_TOL:g})"
+        )
+    log_w = math.lgamma(gamma + 1.0) - log_sum
     weights = np.exp(log_w)
     scaled = np.exp(log_w + nodes)
-    if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
-        raise RuntimeError("computed nodes are not strictly increasing and positive")
     for arr in (nodes, weights, scaled):
         arr.flags.writeable = False
     return QuadratureRule(

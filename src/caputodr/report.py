@@ -80,16 +80,19 @@ def write_pointwise_csv(path, t, approx, exact=None) -> None:
 
     The exactness columns are left blank when no reference is available
     (external sample input); rel_err is blank wherever |exact| < 1e-14.
+    Rows are formatted from Python floats, which repr faster than numpy scalars.
     """
+    t = np.asarray(t, dtype=float).tolist()
+    approx = np.asarray(approx, dtype=float).tolist()
     with open(path, "w") as fh:
         fh.write("t,approx,exact,abs_err,rel_err\n")
-        for i in range(len(t)):
-            if exact is None:
-                fh.write(f"{_fmt(t[i])},{_fmt(approx[i])},,,\n")
-                continue
-            ae = abs(approx[i] - exact[i])
-            rel = "" if abs(exact[i]) < REL_ERR_FLOOR else _fmt(ae / abs(exact[i]))
-            fh.write(f"{_fmt(t[i])},{_fmt(approx[i])},{_fmt(exact[i])},{_fmt(ae)},{rel}\n")
+        if exact is None:
+            fh.writelines(f"{ti!r},{ai!r},,,\n" for ti, ai in zip(t, approx))
+            return
+        for ti, ai, ei in zip(t, approx, np.asarray(exact, dtype=float).tolist()):
+            ae = abs(ai - ei)
+            rel = "" if abs(ei) < REL_ERR_FLOOR else repr(ae / abs(ei))
+            fh.write(f"{ti!r},{ai!r},{ei!r},{ae!r},{rel}\n")
 
 
 def read_pointwise_csv(path):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from caputodr import Method, Signal, TimeGrid, caputo_derivative, report
+import caputodr
+from caputodr import Method, Signal, TimeGrid, caputo_derivative, diffusive, report
 from caputodr.cli import load_samples, main, theoretical_exponent
 from caputodr.oracle import builtin_cases
 
@@ -82,6 +87,18 @@ class TestNodesCommand:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_order_too_large_exits_before_allocating(self, tmp_path, capsys):
+        # a dense build at this order would need 80 GB
+        tracemalloc.start()
+        try:
+            code = main(["nodes", "--N", "100000", "--gamma", "0.2", "--out", str(tmp_path / "r")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "error: order 100000 exceeds 2000" in capsys.readouterr().err
+        assert peak < 1_000_000
+
 
 class TestDerivCommand:
     def test_pointwise_csv_layout(self, tmp_path):
@@ -141,6 +158,16 @@ class TestDerivCommand:
         out = tmp_path / "warn"
         run_cli(["deriv", "--case", "cubic", "--method", "CDR", "--N", "160", "--n", "101", "--out", str(out)])
         assert "h*z_max^2" in capsys.readouterr().err
+
+    def test_no_warning_when_top_node_is_resolved(self, tmp_path, capsys):
+        # the top node of this rule is 29.2, so h*z_max^2 = 0.85; the old
+        # 4N + 2*gamma + 6 bound put it at 2.04 and warned
+        diffusive._cached_rule.cache_clear()
+        run_cli(["deriv", "--case", "cubic", "--method", "CDR", "--N", "10", "--n", "1001", "--out", str(tmp_path / "q")])
+        assert "h*z_max^2" not in capsys.readouterr().err
+        # the check reads the rule the derivative is built from: one build
+        info = diffusive._cached_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_compare_warns_once(self, tmp_path, capsys):
         run_cli(["compare", "--case", "cubic", "--out", str(tmp_path / "cmp")])
@@ -264,3 +291,44 @@ class TestCompareCommand:
         assert len(lines) == 5
         meta = json.loads((tmp_path / "cmp.meta.json").read_text())
         assert set(meta["slopes"]) == {"YA", "CDR", "SDR", "ISDR"}
+
+
+class TestPointwiseCsv:
+    def test_fields_are_float_reprs(self, tmp_path):
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        approx = np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0])
+        exact = np.array([0.0, 1e-15, 0.3, -7.25])
+        path = tmp_path / "p.csv"
+        report.write_pointwise_csv(path, t, approx, exact)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,approx,exact,abs_err,rel_err"
+        want = []
+        for i in range(len(t)):
+            ae = abs(approx[i] - exact[i])
+            rel = "" if abs(exact[i]) < 1e-14 else repr(float(ae / abs(exact[i])))
+            want.append(",".join([repr(float(t[i])), repr(float(approx[i])), repr(float(exact[i])), repr(float(ae)), rel]))
+        assert lines[1:] == want
+        assert lines[1] == "0.0,-0.0,0.0,0.0,"
+        assert lines[2].startswith("0.5,5e-324,1e-15,") and lines[2].endswith(",")
+
+    def test_blank_exactness_columns(self, tmp_path):
+        path = tmp_path / "p.csv"
+        report.write_pointwise_csv(path, np.array([0.0, 0.25]), np.array([-0.0, 5e-324]))
+        assert path.read_text().splitlines()[1:] == ["0.0,-0.0,,,", "0.25,5e-324,,,"]
+
+
+def test_runtime_imports_only_numpy():
+    # scipy and mpmath serve the tests only; the library must build rules
+    # and load its CLI with both unimportable
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "import caputodr.cli\n"
+        "from caputodr.quadrature import gauss_laguerre\n"
+        "print(gauss_laguerre(160, 0.2).order)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(caputodr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "160"
