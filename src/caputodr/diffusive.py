@@ -9,15 +9,18 @@ that evolve by a *local* ODE in time:
  - SDR   sine kernel states (second order),   weight exponent alpha
  - ISDR  sine states under z -> z^2,          weight exponent 2*alpha - 1
 
-The second-order systems are advanced by the semi-implicit Euler update
+Both solvers are the theta-rule on the linear state ODE: backward Euler
+is theta = 1 and the trapezoid theta = 1/2.  YA's x1' = -z^2 x1 + kappa f
+is the rule on one row.  For x1' = x2, x2' = -s x1 + g f' (s = z^2 and
+g = kappa, or z^4 and kappa z^2 for ISDR) the update is
 
-    x1 <- x1 + h * x2_old
-    x2 <- (x2_old - s*h*x1_old + kappa*df) / (1 + s*h^2)
+    x2 <- ((1 - theta(1-theta) s h^2) x2_old - s*h*x1_old + g*df) / (1 + theta^2 s h^2)
+    x1 <- x1_old + h * ((1-theta) x2_old + theta * ahead)
 
-(s is z^2, or z^4 for ISDR) and by a trapezoidal corrector whose x1 row
-consumes the Euler co-state.  ``fully_implicit=True`` switches the x1 row
-to the freshly updated x2 of the same scheme, which for the trapezoidal
-solver recovers the classical A-stable trapezoid rule.
+where ``ahead`` is the old x2 for the semi-implicit Euler and, for the
+trapezoid, the x2 of an Euler co-state advanced alongside.
+``fully_implicit=True`` makes ``ahead`` the freshly updated x2 of the same
+scheme, which for the trapezoid recovers the classical A-stable rule.
 
 ``_scheme`` is the single definition of every update: for each (method,
 solver, fully_implicit) it returns one step, which drives both
@@ -223,51 +226,40 @@ def initial_state(method: Method, alpha, order: int, initial_slope: float = 0.0)
 def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
     """Build the step of one scheme: the single definition of its update formulas.
 
-    The per-node coefficients are computed once.  The returned
+    Both solvers are the theta-rule, theta = 1 for "euler" and 1/2 for
+    "trapezoid"; the per-node coefficients are computed once.  The returned
     ``step(x1, x2, f_prev, f_curr, companion)`` maps the states at step k-1
     to those at step k, given the forcing at t_{k-1} and t_k.  ``companion``
     is the Euler co-state's x2 at step k; only the trapezoid x1 row reads
     it, and only when not fully implicit.  YA has no x2 row and passes x2
     through.
     """
+    theta = 1.0 if solver == "euler" else 0.5
+    # (1 - theta) old + theta new = theta (new + lag old)
+    lag = (1.0 - theta) / theta
+    th = theta * h
     kappa = method.forcing_coefficient(alpha)
     z2 = nodes * nodes
     if method is Method.YA:
-        if solver == "euler":
-            damp = 1.0 / (1.0 + h * z2)
-            hk = h * kappa
+        damp = 1.0 / (1.0 + th * z2)
+        fac = 1.0 - (1.0 - theta) * h * z2
+        hk = th * kappa
 
-            def step(x1, x2, f_prev, f_curr, companion):
-                return (x1 + hk * f_curr) * damp, x2
-
-        else:
-            damp = 1.0 / (1.0 + 0.5 * h * z2)
-            fac = 1.0 - 0.5 * h * z2
-            hk = 0.5 * h * kappa
-
-            def step(x1, x2, f_prev, f_curr, companion):
-                return (fac * x1 + hk * (f_prev + f_curr)) * damp, x2
+        def step(x1, x2, f_prev, f_curr, companion):
+            return (fac * x1 + hk * (f_curr + lag * f_prev)) * damp, x2
 
         return step
 
     s = z2 * z2 if method is Method.ISDR else z2
     gain = kappa * nodes * nodes if method is Method.ISDR else kappa
     sh = s * h
-    if solver == "euler":
-        damp = 1.0 / (1.0 + s * h * h)
-
-        def step(x1, x2, f_prev, f_curr, companion):
-            x2_new = (x2 - sh * x1 + gain * (f_curr - f_prev)) * damp
-            return x1 + h * (x2_new if fully_implicit else x2), x2_new
-
-        return step
-
-    damp = 1.0 / (1.0 + 0.25 * s * h * h)
-    fac = 1.0 - 0.25 * s * h * h
+    damp = 1.0 / (1.0 + theta * theta * s * h * h)
+    fac = 1.0 - theta * (1.0 - theta) * s * h * h
 
     def step(x1, x2, f_prev, f_curr, companion):
         x2_new = (fac * x2 - sh * x1 + gain * (f_curr - f_prev)) * damp
-        return x1 + 0.5 * h * (x2 + (x2_new if fully_implicit else companion)), x2_new
+        ahead = x2_new if fully_implicit else (companion if theta < 1.0 else x2)
+        return x1 + th * (ahead + lag * x2), x2_new
 
     return step
 
@@ -338,17 +330,13 @@ def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float
     """Arrays (forcing f, initial slope y'(0)) driving the stepping."""
     yv = _sample(signal.y, times)
     if signal.derivative_mode == "analytic":
-        if signal.y_prime is None:
-            raise ValueError(f"{method.value} with analytic mode requires y_prime")
         ypv = _sample(signal.y_prime, times)
-        yp0 = ypv[0]
     else:
         ypv = np.empty_like(yv)
         ypv[:-1] = np.diff(yv) / h
         ypv[-1] = (yv[-1] - yv[-2]) / h
-        yp0 = ypv[0]
     f = ypv if method.forcing == "derivative" else yv
-    return f, yp0
+    return f, ypv[0]
 
 
 def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
@@ -495,33 +483,16 @@ def kernel_reference(
     if t == 0.0:
         return 0.0
     yp = signal.y_prime
+    rate = z * z if method in (Method.YA, Method.ISDR) else z
     if method is Method.YA:
-        rate = z * z
-
-        def integrand(tau):
-            return np.exp(-(t - tau) * rate) * yp(tau)
-
-        freq = rate
-    elif method is Method.CDR:
-
-        def integrand(tau):
-            return np.cos((t - tau) * z) * yp(tau)
-
-        freq = z
-    elif method is Method.SDR:
-
-        def integrand(tau):
-            return np.sin((t - tau) * z) * yp(tau)
-
-        freq = z
+        kernel = lambda u: np.exp(-u)
     else:
+        kernel = np.cos if method is Method.CDR else np.sin
 
-        def integrand(tau):
-            return np.sin((t - tau) * z * z) * yp(tau)
+    def integrand(tau):
+        return kernel((t - tau) * rate) * yp(tau)
 
-        freq = z * z
-
-    panels = max(4, math.ceil(8.0 * t * freq / (2.0 * math.pi)))
+    panels = max(4, math.ceil(8.0 * t * rate / (2.0 * math.pi)))
     prev = _composite_gauss(integrand, 0.0, t, panels)
     while panels <= max_panels:
         panels *= 2

@@ -1,11 +1,15 @@
 """Special functions backing the exact-derivative oracles.
 
-``bessel_j`` and ``caputo_sin_series`` work elementwise over arrays: each
-element runs its own series and stops at its own term, so an array call
-gives what calls on its elements one at a time give (up to the last ulp
-of a power).  ``gamma`` is scalar; the series need it once per call.
-Everything here is plain double precision; callers needing more digits
-should cross-check externally (the test suite does).
+``bessel_j`` and ``caputo_sin_series`` sum their ascending series in one
+shared loop, elementwise over arrays: each element stops at its own term,
+so an array call gives what calls on its elements one at a time give (up
+to the last ulp of a power).  The series alternate, and past an argument
+of about 15 cancellation eats their digits (at 20 the error is ~1e-9, at
+60 it is ~1e7), so both refuse arguments above _MAX_ARG.  ``gamma`` is
+the standard library's, with a ``ValueError`` at its poles; the series
+need it once per call.  Everything here is plain double precision;
+callers needing more digits should cross-check externally (the test suite
+does).
 """
 
 import math
@@ -14,52 +18,26 @@ import numpy as np
 
 __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error is a few
-# ulps over the positive axis, comfortably below 1e-13 on [0.1, 30].
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+# Largest argument the series accept.  Measured against mpmath on [0, 15],
+# the absolute error stays below 1.3e-11 for J_nu (nu in [-0.9, 6]) and
+# below 7.1e-11 for the sine derivative (alpha in [0.05, 0.99]).
+_MAX_ARG = 15.0
 
 
 def gamma(x: float) -> float:
-    """Euler's Gamma function for real ``x``.
-
-    Raises ``ValueError`` at the poles (zero and the negative integers).
-    Arguments below 0.5 go through the reflection formula.
-    """
+    """Euler's Gamma function for real ``x``; raises ``ValueError`` at its poles."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma has a pole at x={x:g}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    w = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    # t**(w+0.5) alone overflows near the top of the double range; split the
-    # power so each factor stays representable.
-    p = t ** (0.5 * w + 0.25)
-    return _SQRT_TWO_PI * acc * p * (p * math.exp(-t))
+    return math.gamma(x)
 
 
-def _nonnegative(name: str, value) -> np.ndarray:
-    """``value`` as a float array; a negative element raises, naming its value."""
+def _nonnegative(name: str, value, limit: float = math.inf) -> np.ndarray:
+    """``value`` as a float array; an element below 0 or above ``limit`` raises, naming its value."""
     arr = np.asarray(value, dtype=float)
-    bad = arr < 0.0
-    if bad.any():
-        raise ValueError(f"{name} must be non-negative, got {name}={arr[bad].flat[0]:g}")
+    for bad, rule in ((arr < 0.0, "non-negative"), (arr > limit, f"at most {limit:g}")):
+        if bad.any():
+            raise ValueError(f"{name} must be {rule}, got {name}={arr[bad].flat[0]:g}")
     return arr
 
 
@@ -68,34 +46,43 @@ def _shaped(arr: np.ndarray, like):
     return arr if np.ndim(like) else float(arr)
 
 
-def bessel_j(nu: float, x, max_terms: int = 200):
-    """Bessel function of the first kind J_nu(x) by its ascending series.
+def _series(flat, live, x, term, tol, denom, max_terms):
+    """Sum series with terms t_m = -x t_(m-1) / denom(m) from t_0 = ``term``.
 
-    ``x`` is a float or an array of any shape; the result is a float or an
-    array of that shape.  Intended for nu > -1 and small non-negative x
-    (each element's series is summed until a term drops below 1e-16 of its
-    running sum, which is fast and accurate for x up to roughly 10; this
-    library only needs x in [0, 4]).
+    ``live`` indexes ``flat`` and each element's x and t_0.  An element's
+    sum is written to ``flat`` once a term falls below ``tol`` of its
+    running sum (with an absolute floor); returns the indices still
+    unconverged after ``max_terms`` terms.
     """
-    if nu <= -1.0:
-        raise ValueError(f"bessel_j requires nu > -1, got nu={nu:g}")
-    xs = _nonnegative("x", x)
-    out = np.full(xs.shape, 1.0 if nu == 0.0 else 0.0)
-    flat = out.reshape(-1)
-    live = np.flatnonzero(xs)
-    hh = 0.5 * xs.reshape(-1)[live]
-    term = hh**nu / gamma(nu + 1.0)
     total = term.copy()
-    hh *= hh
     for m in range(1, max_terms):
         if not live.size:
             break
-        term *= -hh / (m * (nu + m))
+        term *= -x / denom(m)
         total += term
-        done = np.abs(term) < 1e-16 * np.abs(total) + 1e-300
+        done = np.abs(term) < tol * np.abs(total) + 1e-300
         flat[live[done]] = total[done]
         keep = ~done
-        live, hh, term, total = live[keep], hh[keep], term[keep], total[keep]
+        live, x, term, total = live[keep], x[keep], term[keep], total[keep]
+    return live
+
+
+def bessel_j(nu: float, x, max_terms: int = 200):
+    """Bessel function of the first kind J_nu(x) by its ascending series.
+
+    ``x`` is a float or an array of any shape, each element in [0, 15];
+    the result is a float or an array of that shape.  Needs nu > -1.  Each
+    element's series is summed until a term drops below 1e-16 of its
+    running sum.
+    """
+    if nu <= -1.0:
+        raise ValueError(f"bessel_j requires nu > -1, got nu={nu:g}")
+    xs = _nonnegative("x", x, _MAX_ARG)
+    out = np.full(xs.shape, 1.0 if nu == 0.0 else 0.0)
+    live = np.flatnonzero(xs)
+    hh = 0.5 * xs.reshape(-1)[live]
+    term = hh**nu / gamma(nu + 1.0)
+    live = _series(out.reshape(-1), live, hh * hh, term, 1e-16, lambda m: m * (nu + m), max_terms)
     if live.size:
         bad = xs.reshape(-1)[live[0]]
         raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={bad:g}")
@@ -106,32 +93,20 @@ def caputo_sin_series(alpha: float, t, tol: float = 1e-15):
     """Fractional derivative of sin at order ``alpha`` in (0, 1).
 
     Evaluates t^(1-alpha) * sum_k (-t^2)^k / Gamma(2k+2-alpha) elementwise
-    over a float or an array ``t``, truncating each element's series once a
-    term falls below ``tol`` of its partial sum (with an absolute floor);
-    t=0 gives 0.
+    over a float or an array ``t`` in [0, 15], truncating each element's
+    series once a term falls below ``tol`` of its partial sum (with an
+    absolute floor); t=0 gives 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
-    ts = _nonnegative("t", t)
+    ts = _nonnegative("t", t, _MAX_ARG)
     out = np.zeros(ts.shape)
     flat = out.reshape(-1)
-    nonzero = live = np.flatnonzero(ts)
-    tt = ts.reshape(-1)[live]
-    tt *= tt
-    term = np.full(live.size, 1.0 / gamma(2.0 - alpha))
-    total = term.copy()
-    k = 0
-    while True:
-        done = np.abs(term) < tol * np.abs(total) + 1e-300
-        flat[live[done]] = total[done]
-        keep = ~done
-        live, tt, term, total = live[keep], tt[keep], term[keep], total[keep]
-        if not live.size:
-            break
-        term *= -tt / ((2 * k + 2.0 - alpha) * (2 * k + 3.0 - alpha))
-        total += term
-        k += 1
-        if k > 1000:
-            raise RuntimeError("caputo_sin_series failed to converge")
+    nonzero = np.flatnonzero(ts)
+    tt = ts.reshape(-1)[nonzero]
+    term = np.full(nonzero.size, 1.0 / gamma(2.0 - alpha))
+    denom = lambda m: (2 * m - alpha) * (2 * m + 1.0 - alpha)
+    if _series(flat, nonzero, tt * tt, term, tol, denom, 1001).size:
+        raise RuntimeError("caputo_sin_series failed to converge")
     flat[nonzero] *= ts.reshape(-1)[nonzero] ** (1.0 - alpha)
     return _shaped(out, t)

@@ -148,6 +148,11 @@ class TestDerivCommand:
         with pytest.raises(SystemExit, match="unknown case"):
             main(["deriv", "--case", "quartic", "--out", "/tmp/x"])
 
+    def test_exact_reference_past_series_limit_exits_nonzero(self, tmp_path, capsys):
+        code = main(["deriv", "--case", "sine", "--T", "60", "--n", "101", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "at most 15" in capsys.readouterr().err
+
     def test_case_and_input_conflict(self, tmp_path):
         sample = tmp_path / "s.csv"
         sample.write_text("t,y\n0.0,0.0\n1.0,1.0\n")

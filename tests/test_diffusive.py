@@ -324,6 +324,36 @@ class TestSchemeEquivalence:
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestSchemeProperties:
+    """det A of each scheme's step against closed forms of the theta-rule.
+
+    theta = 1 (Euler) or 1/2 (trapezoid); s = z^2, or z^4 for ISDR.  YA's
+    scalar step is (1 - (1-theta) h z^2) / (1 + theta h z^2).  Every
+    second-order step is area-preserving except the fully implicit Euler,
+    whose det is 1 / (1 + s h^2).
+    """
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-2])
+    @pytest.mark.parametrize("order", [10, 160])
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_determinant(self, method, solver, fully_implicit, order, h):
+        alpha = 0.4
+        z = gauss_laguerre(order, method.weight_exponent(alpha)).nodes
+        A, _, _ = diffusive._system(method, solver, alpha, z, h, fully_implicit)
+        det = np.linalg.det(np.moveaxis(A, -1, 0))
+        theta = 1.0 if solver == "euler" else 0.5
+        s = z**4 if method is Method.ISDR else z**2
+        if method is Method.YA:
+            want = (1.0 - (1.0 - theta) * h * z**2) / (1.0 + theta * h * z**2)
+        elif fully_implicit and solver == "euler":
+            want = 1.0 / (1.0 + s * h * h)
+        else:
+            want = np.ones(order)
+        assert np.max(np.abs(det - want)) <= 1e-12
+
+
 class TestBlockBoundaries:
     """caputo_derivative around the edges of its blocks of time steps."""
 

@@ -85,6 +85,10 @@ class TestBesselJ:
         with pytest.raises(ValueError, match="-0.25"):
             specfun.bessel_j(1.0, np.array([0.5, -0.25, 1.0]))
 
+    def test_non_convergence_names_nu_and_x(self):
+        with pytest.raises(RuntimeError, match="nu=3, x=4"):
+            specfun.bessel_j(3.0, 4.0, max_terms=3)
+
     def test_recurrence(self):
         # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x)
         for nu in (1.0, 2.0, 3.0):
@@ -127,3 +131,41 @@ class TestCaputoSinSeries:
     def test_array_with_negative_entry(self):
         with pytest.raises(ValueError, match="-2"):
             specfun.caputo_sin_series(0.5, np.array([1.0, 0.0, -2.0]))
+
+
+def _caputo_sin_mpmath(alpha, t):
+    t = mpmath.mpf(t)
+    terms = lambda k: (-t * t) ** k / mpmath.gamma(2 * k + 2 - alpha)
+    return float(t ** (1 - alpha) * mpmath.nsum(terms, [0, mpmath.inf]))
+
+
+class TestArgumentLimit:
+    """Both series hold their accuracy up to an argument of 15 and refuse beyond."""
+
+    LIMIT = 15.0
+    ABOVE = math.nextafter(15.0, math.inf)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.5, 3.0])
+    def test_bessel_at_limit(self, nu):
+        with mpmath.workdps(40):
+            ref = float(mpmath.besselj(nu, self.LIMIT))
+        assert abs(specfun.bessel_j(nu, self.LIMIT) - ref) <= 1e-11
+
+    # the sine series cancels harder than J: up to ~5e-11 near t = 15
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_caputo_sin_at_limit(self, alpha):
+        with mpmath.workdps(40):
+            ref = _caputo_sin_mpmath(alpha, self.LIMIT)
+        assert abs(specfun.caputo_sin_series(alpha, self.LIMIT) - ref) <= 1e-10
+
+    def test_bessel_above_limit(self):
+        with pytest.raises(ValueError, match="at most 15"):
+            specfun.bessel_j(2.5, self.ABOVE)
+        with pytest.raises(ValueError, match="x=60"):
+            specfun.bessel_j(2.5, np.array([1.0, 60.0]))
+
+    def test_caputo_sin_above_limit(self):
+        with pytest.raises(ValueError, match="at most 15"):
+            specfun.caputo_sin_series(0.5, self.ABOVE)
+        with pytest.raises(ValueError, match="t=60"):
+            specfun.caputo_sin_series(0.5, np.array([0.0, 60.0]))
