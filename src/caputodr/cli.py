@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import diffusive, report
-from .diffusive import Method, Signal, TimeGrid, _require_finite, caputo_derivative, max_error
+from .diffusive import Method, Signal, TimeGrid, caputo_derivative, max_error
 from .oracle import builtin_cases
 from .quadrature import gauss_laguerre
 
@@ -35,7 +35,7 @@ def _parse_sweep(text: str):
 
 
 def load_samples(path):
-    """Read a two-column t,y CSV and validate the uniform grid."""
+    """Read a two-column t,y CSV; ``Signal.from_samples`` checks the samples."""
     times, values = [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -47,18 +47,7 @@ def load_samples(path):
             a, b = line.split(",")
             times.append(float(a))
             values.append(float(b))
-    times = np.array(times)
-    values = np.array(values)
-    if len(times) < 2:
-        raise ValueError("sample file needs at least two rows")
-    _require_finite(times, values)
-    if times[0] != 0.0:
-        raise ValueError("sample grid must start at t=0")
-    h = (times[-1] - times[0]) / (len(times) - 1)
-    expected = times[0] + h * np.arange(len(times))
-    if np.max(np.abs(times - expected)) > 1e-12 * max(abs(times[-1]), h):
-        raise ValueError("sample grid spacing is not uniform to 1e-12 relative")
-    return times, values
+    return np.array(times), np.array(values)
 
 
 def _phase_check(h: float, order: int, gamma: float) -> None:
@@ -82,16 +71,19 @@ def _resolve_problem(args):
     """Turn --case/--input flags into (label, signal, alpha, grid, exact)."""
     if args.input is not None:
         if args.case is not None:
-            raise SystemExit("--case and --input are mutually exclusive")
+            raise ValueError("--case and --input are mutually exclusive")
         if args.alpha is None:
-            raise SystemExit("--input mode requires --alpha")
+            raise ValueError("--input mode requires --alpha")
         times, values = load_samples(args.input)
+        signal = Signal.from_samples(times, values)
+        if times[0] != 0.0:
+            raise ValueError("sample grid must start at t=0")
         grid = TimeGrid(horizon=float(times[-1]), count=len(times))
-        return args.input, Signal.from_samples(times, values), args.alpha, grid, None
+        return args.input, signal, args.alpha, grid, None
     cases = builtin_cases()
     name = args.case if args.case is not None else "cubic"
     if name not in cases:
-        raise SystemExit(f"unknown case {name!r}; choose from {sorted(cases)}")
+        raise ValueError(f"unknown case {name!r}; choose from {sorted(cases)}")
     case = cases[name]
     alpha = case.alpha if args.alpha is None else args.alpha
     horizon = case.horizon if args.T is None else args.T
@@ -109,12 +101,13 @@ def _echo(args, **extra) -> dict:
 def cmd_deriv(args) -> None:
     label, signal, alpha, grid, exact_fn = _resolve_problem(args)
     method = Method(args.method)
+    t = grid.times()
+    # the exact reference refuses a horizon past its series' range: fail before stepping
+    exact_vals = None if exact_fn is None else np.asarray(exact_fn(t), dtype=float)
     _phase_check(grid.step, args.N, method.weight_exponent(alpha))
     approx = caputo_derivative(
         method, args.solver, alpha, args.N, grid, signal, fully_implicit=args.fully_implicit
     )
-    t = grid.times()
-    exact_vals = None if exact_fn is None else np.asarray(exact_fn(t), dtype=float)
 
     csv_path = f"{args.out}_pointwise.csv"
     report.write_pointwise_csv(csv_path, t, approx, exact_vals)
@@ -143,13 +136,13 @@ def _sweep_errors(args, method, signal, alpha, grid, exact_vals):
 
 def cmd_convergence(args) -> None:
     if len(args.sweep) < 4:
-        raise SystemExit("convergence needs a sweep of at least 4 orders")
+        raise ValueError("convergence needs a sweep of at least 4 orders")
     label, signal, alpha, grid, exact_fn = _resolve_problem(args)
     if exact_fn is None:
-        raise SystemExit("convergence requires a built-in case (an exact reference)")
+        raise ValueError("convergence requires a built-in case (an exact reference)")
     method = Method(args.method)
-    _phase_check(grid.step, max(args.sweep), method.weight_exponent(alpha))
     exact_vals = np.asarray(exact_fn(grid.times()), dtype=float)
+    _phase_check(grid.step, max(args.sweep), method.weight_exponent(alpha))
     errors = _sweep_errors(args, method, signal, alpha, grid, exact_vals)
     fit = report.fit_loglog(args.sweep, errors)
 
@@ -177,10 +170,10 @@ def cmd_convergence(args) -> None:
 
 def cmd_compare(args) -> dict:
     if len(args.sweep) < 4:
-        raise SystemExit("compare needs a sweep of at least 4 orders")
+        raise ValueError("compare needs a sweep of at least 4 orders")
     label, signal, alpha, grid, exact_fn = _resolve_problem(args)
     if exact_fn is None:
-        raise SystemExit("compare requires a built-in case (an exact reference)")
+        raise ValueError("compare requires a built-in case (an exact reference)")
     exact_vals = np.asarray(exact_fn(grid.times()), dtype=float)
     methods = (Method.YA, Method.CDR, Method.SDR, Method.ISDR)
     # z_max grows with the weight exponent: one warning, for the largest
@@ -265,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "alpha", None) is not None and not 0.0 < args.alpha < 1.0:
-        raise SystemExit(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if getattr(args, "n", 2) < 2:
-        raise SystemExit("--n must be at least 2")
     try:
         args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

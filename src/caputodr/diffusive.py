@@ -155,36 +155,35 @@ class TimeGrid:
 class Signal:
     """A test function y, optionally with its analytic derivative.
 
-    ``derivative_mode`` defaults to "analytic" when y_prime is given and
-    "forward_difference" otherwise; passing "forward_difference" with an
-    analytic derivative forces the difference approximation (useful for
-    comparing against sampled inputs).
+    Forward differences of y stand in for y' exactly when ``y_prime`` is
+    None.  ``from_samples`` wraps tabulated data after checking its grid.
     """
 
     y: Callable[[float], float]
     y_prime: Optional[Callable[[float], float]] = None
-    derivative_mode: Optional[str] = None
-
-    def __post_init__(self):
-        mode = self.derivative_mode
-        if mode is None:
-            mode = "analytic" if self.y_prime is not None else "forward_difference"
-            object.__setattr__(self, "derivative_mode", mode)
-        if mode not in ("analytic", "forward_difference"):
-            raise ValueError(f"unknown derivative_mode {mode!r}")
-        if mode == "analytic" and self.y_prime is None:
-            raise ValueError("derivative_mode='analytic' requires y_prime")
 
     @classmethod
     def from_samples(cls, times, values) -> "Signal":
-        """Signal backed by uniformly spaced samples, looked up by index."""
+        """Signal backed by uniformly spaced samples, looked up by index.
+
+        Needs at least 2 samples, every t and y finite, and t strictly
+        increasing with spacing uniform to 1e-12 relative.
+        """
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
             raise ValueError("need two equal-length 1-d arrays of at least 2 samples")
-        _require_finite(times, values)
+        bad = ~(np.isfinite(times) & np.isfinite(values))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"sample row {i + 1} is not finite: t={times[i]!r}, y={values[i]!r}")
+        if np.any(np.diff(times) <= 0.0):
+            raise ValueError("sample times must be strictly increasing")
         t0 = times[0]
-        h = (times[-1] - times[0]) / (len(times) - 1)
+        h = (times[-1] - t0) / (len(times) - 1)
+        expected = t0 + h * np.arange(len(times))
+        if np.max(np.abs(times - expected)) > 1e-12 * max(abs(times[-1]), h):
+            raise ValueError("sample grid spacing is not uniform to 1e-12 relative")
 
         def lookup(t):
             idx = np.rint((np.asarray(t) - t0) / h).astype(int)
@@ -193,15 +192,7 @@ class Signal:
             out = values[idx]
             return out if np.ndim(t) else float(out)
 
-        return cls(y=lookup, y_prime=None, derivative_mode="forward_difference")
-
-
-def _require_finite(times: np.ndarray, values: np.ndarray) -> None:
-    """Reject samples with a NaN or infinite t or y, naming the first (1-based) row."""
-    bad = ~(np.isfinite(times) & np.isfinite(values))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"sample row {i + 1} is not finite: t={times[i]!r}, y={values[i]!r}")
+        return cls(y=lookup)
 
 
 @dataclass(frozen=True)
@@ -326,17 +317,19 @@ def _sample(func, times: np.ndarray) -> np.ndarray:
     return np.array([float(func(t)) for t in times])
 
 
-def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float):
-    """Arrays (forcing f, initial slope y'(0)) driving the stepping."""
-    yv = _sample(signal.y, times)
-    if signal.derivative_mode == "analytic":
-        ypv = _sample(signal.y_prime, times)
-    else:
-        ypv = np.empty_like(yv)
-        ypv[:-1] = np.diff(yv) / h
-        ypv[-1] = (yv[-1] - yv[-2]) / h
-    f = ypv if method.forcing == "derivative" else yv
-    return f, ypv[0]
+def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float) -> np.ndarray:
+    """The one forcing the method's update reads, sampled on ``times``.
+
+    That is y for SDR and ISDR, and y' for YA and CDR: the analytic y'
+    when the signal has one, else y's forward differences, the last point
+    repeating the one before it.
+    """
+    if method.forcing == "value":
+        return _sample(signal.y, times)
+    if signal.y_prime is not None:
+        return _sample(signal.y_prime, times)
+    slope = np.diff(_sample(signal.y, times)) / h
+    return np.append(slope, slope[-1])
 
 
 def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
@@ -393,7 +386,7 @@ def caputo_derivative(
     ws = rule.scaled_weights
     h = grid.step
     n = grid.count
-    f, yp0 = _forcing_samples(method, signal, grid.times(), h)
+    f = _forcing_samples(method, signal, grid.times(), h)
 
     A, b0, b1 = _system(method, solver, a, rule.nodes, h, fully_implicit)
     d = len(A)
@@ -433,7 +426,8 @@ def caputo_derivative(
     lag = np.arange(B)[:, None] - np.arange(B)[None, :]
     forced = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
 
-    start = initial_state(method, a, order, yp0)
+    # only CDR reads the initial slope, and its forcing is y'
+    start = initial_state(method, a, order, f[0])
     # the Euler co-state starts from the same state
     S = np.stack([start.x1, start.x2, start.x1, start.x2][:d])
     y = np.einsum("bmq,jmq->bj", u, forced)
@@ -448,6 +442,8 @@ def caputo_derivative(
 
 
 _GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# Panel count past which kernel_reference stops refining and raises.
+_MAX_PANELS = 1 << 20
 
 
 def _composite_gauss(func, a: float, b: float, panels: int) -> float:
@@ -466,7 +462,6 @@ def kernel_reference(
     t: float,
     signal: Signal,
     tol: float = 1e-10,
-    max_panels: int = 1 << 20,
 ) -> float:
     """Direct evaluation of the defining state integral w(z, t).
 
@@ -477,7 +472,7 @@ def kernel_reference(
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z!r}")
-    if signal.derivative_mode != "analytic":
+    if signal.y_prime is None:
         raise ValueError("kernel_reference requires a signal with an analytic derivative")
     a = _alpha_value(alpha)
     if t == 0.0:
@@ -494,14 +489,14 @@ def kernel_reference(
 
     panels = max(4, math.ceil(8.0 * t * rate / (2.0 * math.pi)))
     prev = _composite_gauss(integrand, 0.0, t, panels)
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         panels *= 2
         curr = _composite_gauss(integrand, 0.0, t, panels)
         if abs(curr - prev) <= tol:
             break
         prev = curr
     else:
-        raise RuntimeError(f"kernel_reference did not reach tol={tol:g} within {max_panels} panels")
+        raise RuntimeError(f"kernel_reference did not reach tol={tol:g} within {_MAX_PANELS} panels")
 
     kappa = method.forcing_coefficient(a)
     if method is Method.SDR:

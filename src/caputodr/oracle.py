@@ -35,7 +35,7 @@ def exact_power(p: float, alpha, t):
 
 def exact_sin(alpha, t):
     """Caputo derivative of sin t, by its alternating series."""
-    return specfun.caputo_sin_series(_alpha_value(alpha), t, 1e-15)
+    return specfun.caputo_sin_series(_alpha_value(alpha), t)
 
 
 def exact_bessel(nu: float, alpha, t):

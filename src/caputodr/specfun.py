@@ -89,12 +89,12 @@ def bessel_j(nu: float, x, max_terms: int = 200):
     return _shaped(out, x)
 
 
-def caputo_sin_series(alpha: float, t, tol: float = 1e-15):
+def caputo_sin_series(alpha: float, t):
     """Fractional derivative of sin at order ``alpha`` in (0, 1).
 
     Evaluates t^(1-alpha) * sum_k (-t^2)^k / Gamma(2k+2-alpha) elementwise
     over a float or an array ``t`` in [0, 15], truncating each element's
-    series once a term falls below ``tol`` of its partial sum (with an
+    series once a term falls below 1e-15 of its partial sum (with an
     absolute floor); t=0 gives 0.
     """
     if not 0.0 < alpha < 1.0:
@@ -106,7 +106,7 @@ def caputo_sin_series(alpha: float, t, tol: float = 1e-15):
     tt = ts.reshape(-1)[nonzero]
     term = np.full(nonzero.size, 1.0 / gamma(2.0 - alpha))
     denom = lambda m: (2 * m - alpha) * (2 * m + 1.0 - alpha)
-    if _series(flat, nonzero, tt * tt, term, tol, denom, 1001).size:
+    if _series(flat, nonzero, tt * tt, term, 1e-15, denom, 1001).size:
         raise RuntimeError("caputo_sin_series failed to converge")
     flat[nonzero] *= ts.reshape(-1)[nonzero] ** (1.0 - alpha)
     return _shaped(out, t)

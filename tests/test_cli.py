@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import caputodr
-from caputodr import Method, Signal, TimeGrid, caputo_derivative, diffusive, report
+from caputodr import Method, Signal, TimeGrid, caputo_derivative, cli, diffusive, report
 from caputodr.cli import load_samples, main, theoretical_exponent
 from caputodr.oracle import builtin_cases
 
@@ -144,20 +144,44 @@ class TestDerivCommand:
         meta = json.loads((tmp_path / "rt.meta.json").read_text())
         assert float(np.max(cols["abs_err"])) == meta["e_inf"]
 
-    def test_unknown_case(self):
-        with pytest.raises(SystemExit, match="unknown case"):
-            main(["deriv", "--case", "quartic", "--out", "/tmp/x"])
+    def test_unknown_case(self, tmp_path, capsys):
+        assert main(["deriv", "--case", "quartic", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown case 'quartic'")
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
+            (["--n", "1"], "count must be at least 2, got 1"),
+        ],
+    )
+    def test_bad_alpha_or_n_exits_nonzero(self, tmp_path, capsys, flags, message):
+        code = main(["deriv", "--case", "cubic", *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_exact_reference_past_series_limit_exits_nonzero(self, tmp_path, capsys):
         code = main(["deriv", "--case", "sine", "--T", "60", "--n", "101", "--out", str(tmp_path / "s")])
         assert code == 1
         assert "at most 15" in capsys.readouterr().err
 
-    def test_case_and_input_conflict(self, tmp_path):
+    def test_exact_reference_fails_before_stepping(self, tmp_path, capsys, monkeypatch):
+        def stepped(*args, **kwargs):
+            raise AssertionError("caputo_derivative ran before the exact reference was checked")
+
+        monkeypatch.setattr(cli, "caputo_derivative", stepped)
+        code = main(["deriv", "--case", "bessel", "--T", "400", "--n", "100000", "--out", str(tmp_path / "b")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "at most 15" in err
+        assert "h*z_max^2" not in err
+
+    def test_case_and_input_conflict(self, tmp_path, capsys):
         sample = tmp_path / "s.csv"
         sample.write_text("t,y\n0.0,0.0\n1.0,1.0\n")
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["deriv", "--case", "cubic", "--input", str(sample), "--alpha", "0.5", "--out", str(tmp_path / "x")])
+        code = main(["deriv", "--case", "cubic", "--input", str(sample), "--alpha", "0.5", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --case and --input are mutually exclusive\n"
 
     def test_stability_warning(self, tmp_path, capsys):
         out = tmp_path / "warn"
@@ -218,7 +242,7 @@ class TestDerivCommand:
         run_cli(["deriv", "--input", str(sample), "--alpha", "0.6", "--method", "CDR", "--N", "25", "--out", str(out)])
         rows = (tmp_path / "ext_pointwise.csv").read_text().splitlines()[1:]
         approx_file = np.array([float(r.split(",")[1]) for r in rows])
-        fd_signal = Signal(y=case.signal.y, y_prime=case.signal.y_prime, derivative_mode="forward_difference")
+        fd_signal = Signal(y=case.signal.y)
         approx_lib = caputo_derivative(Method.CDR, "euler", 0.6, 25, grid, fd_signal)
         assert np.max(np.abs(approx_file - approx_lib)) <= 1e-12
 
@@ -230,23 +254,27 @@ class TestSampleLoading:
         with pytest.raises(ValueError, match="header"):
             load_samples(f)
 
-    def test_nonuniform_grid(self, tmp_path):
+    def test_nonuniform_grid(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("t,y\n0.0,0.0\n0.1,1.0\n0.3,2.0\n")
         with pytest.raises(ValueError, match="uniform"):
-            load_samples(f)
+            Signal.from_samples(*load_samples(f))
+        code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sample grid spacing is not uniform to 1e-12 relative\n"
 
-    def test_must_start_at_zero(self, tmp_path):
+    def test_must_start_at_zero(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("t,y\n0.5,0.0\n1.0,1.0\n")
-        with pytest.raises(ValueError, match="t=0"):
-            load_samples(f)
+        code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sample grid must start at t=0\n"
 
     def test_non_finite_row(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("t,y\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
         with pytest.raises(ValueError, match="row 2 is not finite"):
-            load_samples(f)
+            Signal.from_samples(*load_samples(f))
         code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: sample row 2 is not finite")
@@ -269,12 +297,13 @@ class TestConvergenceCommand:
         refit = report.fit_loglog(orders, errors)
         assert refit.slope == meta["slope"]
 
-    def test_requires_enough_orders(self, tmp_path):
-        with pytest.raises(SystemExit, match="at least 4"):
-            main([
-                "convergence", "--case", "cubic", "--sweep", "5,10,20",
-                "--out", str(tmp_path / "x"),
-            ])
+    def test_requires_enough_orders(self, tmp_path, capsys):
+        code = main([
+            "convergence", "--case", "cubic", "--sweep", "5,10,20",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: convergence needs a sweep of at least 4 orders\n"
 
     def test_rejects_unsorted_sweep(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -42,19 +42,14 @@ class TestTypes:
             TimeGrid(horizon=1.0, count=1)
 
     def test_signal_modes(self):
-        assert QUADRATIC.derivative_mode == "analytic"
-        assert Signal(y=lambda t: t).derivative_mode == "forward_difference"
-        forced = Signal(y=lambda t: t, y_prime=lambda t: 1.0, derivative_mode="forward_difference")
-        assert forced.derivative_mode == "forward_difference"
-        with pytest.raises(ValueError):
-            Signal(y=lambda t: t, derivative_mode="analytic")
-        with pytest.raises(ValueError):
-            Signal(y=lambda t: t, derivative_mode="spline")
+        # forward differences stand in for y' exactly when y_prime is None
+        assert QUADRATIC.y_prime is not None
+        assert Signal(y=lambda t: t).y_prime is None
 
     def test_signal_from_samples(self):
         times = np.linspace(0.0, 1.0, 11)
         sig = Signal.from_samples(times, times**2)
-        assert sig.derivative_mode == "forward_difference"
+        assert sig.y_prime is None
         assert sig.y(0.3) == pytest.approx(0.09)
         np.testing.assert_allclose(sig.y(times), times**2)
         with pytest.raises(ValueError):
@@ -66,6 +61,14 @@ class TestTypes:
         values[6] = np.nan
         with pytest.raises(ValueError, match="row 7 is not finite"):
             Signal.from_samples(times, values)
+
+    @pytest.mark.parametrize(
+        "times,match",
+        [([0.0, 0.1, 0.5, 1.0], "not uniform"), ([0.0, 0.0, 0.0], "strictly increasing")],
+    )
+    def test_signal_from_samples_rejects_bad_grid(self, times, match):
+        with pytest.raises(ValueError, match=match):
+            Signal.from_samples(times, np.arange(len(times), dtype=float))
 
     def test_method_exponents(self):
         a = 0.6
@@ -279,6 +282,27 @@ class TestCaputoDerivative:
         e_trap = max_error(caputo_derivative(Method.CDR, "trapezoid", 0.6, 50, grid, cubic), exact)
         assert e_trap <= e_euler
 
+    @pytest.mark.parametrize(
+        "method,read", [(Method.YA, "y_prime"), (Method.CDR, "y_prime"), (Method.SDR, "y"), (Method.ISDR, "y")]
+    )
+    def test_samples_only_the_forcing_it_reads(self, method, read):
+        calls = {"y": 0, "y_prime": 0}
+
+        def counted(name, func):
+            def wrapped(t):
+                calls[name] += 1
+                return func(t)
+
+            return wrapped
+
+        sig = Signal(y=counted("y", np.sin), y_prime=counted("y_prime", np.cos))
+        caputo_derivative(method, "euler", 0.5, 8, self.GRID, sig)
+        assert calls == {"y": 0, "y_prime": 0, read: 1}
+        # without y', every method reads y once
+        calls.update(y=0, y_prime=0)
+        caputo_derivative(method, "euler", 0.5, 8, self.GRID, Signal(y=sig.y))
+        assert calls == {"y": 1, "y_prime": 0}
+
     def test_forward_difference_mode_runs(self):
         bare = Signal(y=lambda t: np.asarray(t, float) ** 3)
         out = caputo_derivative(Method.CDR, "euler", 0.6, 30, self.GRID, bare)
@@ -296,32 +320,38 @@ class TestCaputoDerivative:
             caputo_derivative(Method.CDR, "rk4", 0.5, 10, self.GRID, QUADRATIC)
 
 
-class TestSchemeEquivalence:
+def _assert_matches_advance_ops(method, solver, fully_implicit, steps):
     """caputo_derivative equals W . x1 stepped through the public advance ops."""
+    # sine has y'(0) = 1, so CDR starts from a nonzero x2
+    case = builtin_cases()["sine"]
+    alpha, order = case.alpha, 12
+    grid = TimeGrid(horizon=case.horizon, count=steps + 1)
+    times = grid.times()
+    fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
+    rule = gauss_laguerre(order, method.weight_exponent(alpha))
+    state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
+    ref = np.zeros(grid.count)
+    for k in range(1, grid.count):
+        args = (rule.nodes, grid, fv[k - 1], fv[k])
+        if solver == "euler":
+            state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
+        else:
+            euler = advance_euler(method, alpha, euler, *args)
+            state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
+        ref[k] = rule.scaled_weights @ state.x1
+    out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
+    assert out[0] == 0.0
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestSchemeEquivalence:
+    """caputo_derivative against the public advance ops on a 400-point grid."""
 
     @pytest.mark.parametrize("fully_implicit", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
     def test_matches_advance_ops(self, method, solver, fully_implicit):
-        # sine has y'(0) = 1, so CDR starts from a nonzero x2
-        case = builtin_cases()["sine"]
-        alpha, order = case.alpha, 12
-        grid = TimeGrid(horizon=case.horizon, count=400)
-        times = grid.times()
-        fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
-        rule = gauss_laguerre(order, method.weight_exponent(alpha))
-        state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
-        ref = np.zeros(grid.count)
-        for k in range(1, grid.count):
-            args = (rule.nodes, grid, fv[k - 1], fv[k])
-            if solver == "euler":
-                state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
-            else:
-                euler = advance_euler(method, alpha, euler, *args)
-                state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
-            ref[k] = rule.scaled_weights @ state.x1
-        out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_matches_advance_ops(method, solver, fully_implicit, 399)
 
 
 class TestSchemeProperties:
@@ -364,25 +394,7 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
     def test_matches_advance_ops(self, method, solver, fully_implicit, steps):
-        case = builtin_cases()["sine"]
-        alpha, order = case.alpha, 12
-        grid = TimeGrid(horizon=case.horizon, count=steps + 1)
-        times = grid.times()
-        fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
-        rule = gauss_laguerre(order, method.weight_exponent(alpha))
-        state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
-        ref = np.zeros(grid.count)
-        for k in range(1, grid.count):
-            args = (rule.nodes, grid, fv[k - 1], fv[k])
-            if solver == "euler":
-                state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
-            else:
-                euler = advance_euler(method, alpha, euler, *args)
-                state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
-            ref[k] = rule.scaled_weights @ state.x1
-        out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
-        assert out[0] == 0.0
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_matches_advance_ops(method, solver, fully_implicit, steps)
 
 
 class TestSampleFallback:
