@@ -14,7 +14,7 @@ from .diffusive import (
     max_error,
 )
 from .oracle import TestCase, builtin_cases, caputo_l1, exact_bessel, exact_power, exact_sin
-from .quadrature import QuadratureRule, gauss_laguerre, integrate, jacobi_matrix
+from .quadrature import QuadratureRule, gauss_laguerre, jacobi_matrix
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "exact_sin",
     "gauss_laguerre",
     "initial_state",
-    "integrate",
     "jacobi_matrix",
     "kernel_reference",
     "max_error",

@@ -35,7 +35,7 @@ def _parse_sweep(text: str):
 
 
 def load_samples(path):
-    """Read a two-column t,y CSV; ``Signal.from_samples`` checks the samples."""
+    """Read a two-column t,y CSV, naming any malformed row; ``Signal.from_samples`` checks the samples."""
     times, values = [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -44,9 +44,13 @@ def load_samples(path):
         for line in fh:
             if not line.strip():
                 continue
-            a, b = line.split(",")
-            times.append(float(a))
-            values.append(float(b))
+            try:
+                a, b = line.split(",")
+                t, y = float(a), float(b)
+            except ValueError as exc:
+                raise ValueError(f"sample row {len(times) + 1}: {exc}") from None
+            times.append(t)
+            values.append(y)
     return np.array(times), np.array(values)
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,8 +51,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .quadrature import gauss_laguerre
-
-_log = logging.getLogger(__name__)
 
 # Rules are immutable (their arrays are read-only), so repeated runs over
 # the same (order, exponent) pair reuse one construction.
@@ -155,19 +152,22 @@ class TimeGrid:
 class Signal:
     """A test function y, optionally with its analytic derivative.
 
-    Forward differences of y stand in for y' exactly when ``y_prime`` is
-    None.  ``from_samples`` wraps tabulated data after checking its grid.
+    Both callables take a numpy array of times and return one value per
+    element; wrap a scalar-only function in ``np.vectorize``.  Forward
+    differences of y stand in for y' exactly when ``y_prime`` is None.
+    ``from_samples`` wraps tabulated data after checking its grid.
     """
 
-    y: Callable[[float], float]
-    y_prime: Optional[Callable[[float], float]] = None
+    y: Callable[[np.ndarray], np.ndarray]
+    y_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def from_samples(cls, times, values) -> "Signal":
         """Signal backed by uniformly spaced samples, looked up by index.
 
         Needs at least 2 samples, every t and y finite, and t strictly
-        increasing with spacing uniform to 1e-12 relative.
+        increasing with spacing uniform to 1e-12 relative.  Looking up a
+        time off the samples (to that tolerance) raises.
         """
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -182,13 +182,18 @@ class Signal:
         t0 = times[0]
         h = (times[-1] - t0) / (len(times) - 1)
         expected = t0 + h * np.arange(len(times))
-        if np.max(np.abs(times - expected)) > 1e-12 * max(abs(times[-1]), h):
+        tol = 1e-12 * max(abs(times[-1]), h)
+        if np.max(np.abs(times - expected)) > tol:
             raise ValueError("sample grid spacing is not uniform to 1e-12 relative")
 
         def lookup(t):
-            idx = np.rint((np.asarray(t) - t0) / h).astype(int)
+            t = np.asarray(t, dtype=float)
+            idx = np.rint((t - t0) / h).astype(int)
             if np.any(idx < 0) or np.any(idx >= len(values)):
                 raise ValueError("sample lookup outside the tabulated range")
+            off = np.abs(times[idx] - t) > tol
+            if off.any():
+                raise ValueError(f"sample lookup at t={float(t[off].flat[0])!r} falls between samples")
             out = values[idx]
             return out if np.ndim(t) else float(out)
 
@@ -299,22 +304,16 @@ def advance_trapezoid(
 
 
 def _sample(func, times: np.ndarray) -> np.ndarray:
-    """Evaluate ``func`` on a grid, vectorized when the callable allows it.
+    """Evaluate ``func`` once on the whole array ``times``.
 
-    A callable that rejects arrays or returns the wrong shape is evaluated
-    point by point instead; the fallback is logged at INFO.
+    The callable must return one value per element; any other shape raises
+    ``ValueError`` naming it.  Its own exceptions propagate unchanged.
     """
-    try:
-        out = np.asarray(func(times), dtype=float)
-    except (TypeError, ValueError) as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-    else:
-        if out.shape == times.shape:
-            return out
-        reason = f"returned shape {out.shape} for {times.shape}"
-    name = getattr(func, "__qualname__", None) or repr(func)
-    _log.info("sampling %s point by point over %d points (%s)", name, times.size, reason)
-    return np.array([float(func(t)) for t in times])
+    out = np.asarray(func(times), dtype=float)
+    if out.shape != times.shape:
+        name = getattr(func, "__qualname__", None) or repr(func)
+        raise ValueError(f"{name} returned shape {out.shape} for times of shape {times.shape}")
+    return out
 
 
 def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float) -> np.ndarray:

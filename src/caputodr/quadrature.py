@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "jacobi_matrix", "gauss_laguerre", "integrate"]
+__all__ = ["QuadratureRule", "jacobi_matrix", "gauss_laguerre"]
 
 # The dense Jacobi matrix holds order^2 doubles: 32 MB at the limit.
 _MAX_ORDER = 2000
@@ -129,16 +129,3 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
         weights=weights,
         scaled_weights=scaled,
     )
-
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply the rule to ``f``: sum_i w_i f(z_i).
-
-    A NaN from the integrand is reported as an evaluation error instead of
-    silently propagating into the sum.
-    """
-    values = np.array([f(z) for z in rule.nodes], dtype=float)
-    if np.any(np.isnan(values)):
-        bad = rule.nodes[np.isnan(values)][0]
-        raise ValueError(f"integrand evaluated to NaN at node z={bad:g}")
-    return float(rule.weights @ values)

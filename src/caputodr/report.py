@@ -1,4 +1,4 @@
-"""Error reports: pointwise tables, E_inf sweeps, log-log slope fits, CSV I/O.
+"""Error reports: pointwise tables, E_inf sweeps, log-log slope fits, CSV output.
 
 All numeric CSV fields are written with ``repr(float(x))`` so files are
 byte-stable across runs and parse back to the identical doubles; anything
@@ -18,9 +18,7 @@ __all__ = [
     "SlopeFit",
     "fit_loglog",
     "write_pointwise_csv",
-    "read_pointwise_csv",
     "write_sweep_csv",
-    "read_sweep_csv",
     "write_compare_csv",
     "write_nodes_csv",
     "write_gnuplot_script",
@@ -95,38 +93,11 @@ def write_pointwise_csv(path, t, approx, exact=None) -> None:
             fh.write(f"{ti!r},{ai!r},{ei!r},{ae!r},{rel}\n")
 
 
-def read_pointwise_csv(path):
-    """Parse a pointwise table back into column arrays (rel_err blanks -> NaN)."""
-    cols = {"t": [], "approx": [], "exact": [], "abs_err": [], "rel_err": []}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["t", "approx", "exact", "abs_err", "rel_err"]:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            for name, raw in zip(cols, parts):
-                cols[name].append(float(raw) if raw else np.nan)
-    return {name: np.array(vals) for name, vals in cols.items()}
-
-
 def write_sweep_csv(path, orders, e_inf) -> None:
     with open(path, "w") as fh:
         fh.write("N,E_inf\n")
         for N, e in zip(orders, e_inf):
             fh.write(f"{int(N)},{_fmt(e)}\n")
-
-
-def read_sweep_csv(path):
-    orders, errors = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "N,E_inf":
-            raise ValueError(f"unexpected header in {path}: {header}")
-        for line in fh:
-            a, b = line.strip().split(",")
-            orders.append(int(a))
-            errors.append(float(b))
-    return np.array(orders), np.array(errors)
 
 
 def write_compare_csv(path, orders, errors_by_method) -> None:

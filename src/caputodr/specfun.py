@@ -22,6 +22,7 @@ __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 # the absolute error stays below 1.3e-11 for J_nu (nu in [-0.9, 6]) and
 # below 7.1e-11 for the sine derivative (alpha in [0.05, 0.99]).
 _MAX_ARG = 15.0
+_MAX_TERMS = 200  # bessel_j's series length before it reports non-convergence
 
 
 def gamma(x: float) -> float:
@@ -67,7 +68,7 @@ def _series(flat, live, x, term, tol, denom, max_terms):
     return live
 
 
-def bessel_j(nu: float, x, max_terms: int = 200):
+def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x) by its ascending series.
 
     ``x`` is a float or an array of any shape, each element in [0, 15];
@@ -82,7 +83,7 @@ def bessel_j(nu: float, x, max_terms: int = 200):
     live = np.flatnonzero(xs)
     hh = 0.5 * xs.reshape(-1)[live]
     term = hh**nu / gamma(nu + 1.0)
-    live = _series(out.reshape(-1), live, hh * hh, term, 1e-16, lambda m: m * (nu + m), max_terms)
+    live = _series(out.reshape(-1), live, hh * hh, term, 1e-16, lambda m: m * (nu + m), _MAX_TERMS)
     if live.size:
         bad = xs.reshape(-1)[live[0]]
         raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={bad:g}")

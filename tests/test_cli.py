@@ -140,7 +140,7 @@ class TestDerivCommand:
     def test_roundtrip_reproduces_e_inf(self, tmp_path):
         out = tmp_path / "rt"
         run_cli(["deriv", "--case", "cubic", "--method", "CDR", "--N", "20", "--n", "301", "--out", str(out)])
-        cols = report.read_pointwise_csv(tmp_path / "rt_pointwise.csv")
+        cols = np.genfromtxt(tmp_path / "rt_pointwise.csv", delimiter=",", names=True)
         meta = json.loads((tmp_path / "rt.meta.json").read_text())
         assert float(np.max(cols["abs_err"])) == meta["e_inf"]
 
@@ -270,6 +270,19 @@ class TestSampleLoading:
         assert code == 1
         assert capsys.readouterr().err == "error: sample grid must start at t=0\n"
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [("0.5,1.0,2", "too many values to unpack"), ("0.5,one", "could not convert string to float")],
+    )
+    def test_malformed_row_is_named(self, tmp_path, capsys, row, reason):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"t,y\n0.0,0.0\n\n{row}\n1.0,1.0\n")
+        with pytest.raises(ValueError, match=f"sample row 2: {reason}"):
+            load_samples(f)
+        code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: sample row 2: {reason}")
+
     def test_non_finite_row(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("t,y\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
@@ -287,7 +300,7 @@ class TestConvergenceCommand:
             "convergence", "--case", "cubic", "--method", "CDR",
             "--sweep", "5,10,20,40", "--n", "501", "--out", str(out),
         ])
-        orders, errors = report.read_sweep_csv(tmp_path / "sw_sweep.csv")
+        orders, errors = np.loadtxt(tmp_path / "sw_sweep.csv", delimiter=",", skiprows=1, unpack=True)
         assert orders.tolist() == [5, 10, 20, 40]
         assert np.all(errors > 0.0)
         meta = json.loads((tmp_path / "sw.meta.json").read_text())

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -54,6 +53,10 @@ class TestTypes:
         np.testing.assert_allclose(sig.y(times), times**2)
         with pytest.raises(ValueError):
             sig.y(1.5)
+        with pytest.raises(ValueError, match="t=0.36 falls between samples"):
+            sig.y(0.36)
+        with pytest.raises(ValueError, match="t=0.25 falls between samples"):
+            sig.y(np.array([0.1, 0.2, 0.25]))
 
     def test_signal_from_samples_rejects_non_finite(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -400,30 +403,31 @@ class TestBlockBoundaries:
 class TestSampleFallback:
     TIMES = np.linspace(0.0, 1.0, 7)
 
-    def test_scalar_callable_is_logged(self, caplog):
-        # math.sin rejects arrays, so this callable falls back
+    def test_scalar_callable_is_not_retried(self):
+        calls = []
+
         def scalar_sin(t):
+            calls.append(t)
             return math.sin(t)
 
-        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
-            out = diffusive._sample(scalar_sin, self.TIMES)
-        np.testing.assert_array_equal(out, [scalar_sin(t) for t in self.TIMES])
-        assert f"sampling {scalar_sin.__qualname__} point by point" in caplog.text
+        with pytest.raises(TypeError):
+            diffusive._sample(scalar_sin, self.TIMES)
+        assert len(calls) == 1
 
-    def test_vectorized_callable_is_silent(self, caplog):
-        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
-            out = diffusive._sample(np.sin, self.TIMES)
+    def test_wrong_shape_names_callable(self):
+        with pytest.raises(ValueError, match="<lambda> returned shape"):
+            diffusive._sample(lambda t: 3.7, self.TIMES)
+
+    def test_vectorized_callable_is_silent(self):
+        out = diffusive._sample(np.sin, self.TIMES)
         np.testing.assert_array_equal(out, np.sin(self.TIMES))
-        assert not caplog.records
 
     @pytest.mark.parametrize("name", sorted(builtin_cases()))
-    def test_builtin_cases_are_vectorized(self, name, caplog):
+    def test_builtin_cases_are_vectorized(self, name):
         case = builtin_cases()[name]
         times = TimeGrid(horizon=case.horizon, count=1000).times()
-        with caplog.at_level(logging.INFO, logger="caputodr.diffusive"):
-            diffusive._sample(case.signal.y, times)
-            diffusive._sample(case.signal.y_prime, times)
-        assert not caplog.records
+        diffusive._sample(case.signal.y, times)
+        diffusive._sample(case.signal.y_prime, times)
         exact = case.exact(times)
         assert isinstance(exact, np.ndarray) and exact.shape == times.shape
 
@@ -433,6 +437,20 @@ class TestSampleFallback:
 
         with pytest.raises(RuntimeError, match="broken signal"):
             diffusive._sample(broken, self.TIMES)
+
+    def test_out_of_range_signal_fails_on_first_call(self):
+        # the bessel series refuses arguments past 15: one call, no per-point retry
+        case = builtin_cases()["bessel"]
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return case.signal.y_prime(t)
+
+        signal = Signal(y=case.signal.y, y_prime=counted)
+        with pytest.raises(ValueError, match="at most 15"):
+            caputo_derivative(Method.CDR, "euler", 0.5, 50, TimeGrid(400.0, 100_000), signal)
+        assert len(calls) == 1
 
 
 def _poly_signal(coeffs):
