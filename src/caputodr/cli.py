@@ -78,6 +78,8 @@ def _resolve_problem(args):
             raise ValueError("--case and --input are mutually exclusive")
         if args.alpha is None:
             raise ValueError("--input mode requires --alpha")
+        if args.n is not None or args.T is not None:
+            raise ValueError("--n and --T do not apply to --input: the file sets the grid")
         times, values = load_samples(args.input)
         signal = Signal.from_samples(times, values)
         if times[0] != 0.0:
@@ -91,6 +93,7 @@ def _resolve_problem(args):
     case = cases[name]
     alpha = case.alpha if args.alpha is None else args.alpha
     horizon = case.horizon if args.T is None else args.T
+    args.n = 10_000 if args.n is None else args.n  # recorded in the meta
     grid = TimeGrid(horizon=horizon, count=args.n)
     exact = lambda t: case.exact(t, alpha)
     return name, case.signal, alpha, grid, exact
@@ -218,7 +221,7 @@ def cmd_nodes(args):
 def _add_run_flags(p, sweep: bool):
     p.add_argument("--solver", choices=("euler", "trapezoid"), default="euler")
     p.add_argument("--alpha", type=float, default=None, help="fractional order in (0,1)")
-    p.add_argument("--n", type=int, default=10_000, help="number of time grid points")
+    p.add_argument("--n", type=int, default=None, help="number of time grid points (default 10000)")
     p.add_argument("--T", type=float, default=None, help="time horizon (case default)")
     p.add_argument("--case", default=None, help="built-in case name (default: cubic)")
     p.add_argument("--input", default=None, help="external t,y sample CSV (uniform grid)")

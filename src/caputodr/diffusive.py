@@ -32,12 +32,13 @@ For a fixed step h every scheme is linear and time invariant: the state S
 (x1 for YA, (x1, x2) otherwise, plus the Euler co-state for the trapezoid)
 obeys S_k = A S_{k-1} + b0 f_{k-1} + b1 f_k node by node, and the output is
 sum_i W_i x1_i.  ``caputo_derivative`` reads (A, b0, b1) off ``_scheme``
-and advances _BLOCK = 64 time steps per iteration: each block's outputs are
-the free response of its start state plus its forcing convolved with the
-aggregate impulse response, and one update carries the state to the
-block's end.  For n time points and N quadrature nodes that is O(n * N)
-flops in ceil((n - 1) / 64) Python iterations, with O(64 * d * N)
-working memory for a d-dimensional state.
+and cuts the grid into blocks of _BLOCK = 64 steps.  A block's outputs are
+its start state's free response plus its forcing convolved with the
+aggregate impulse response.  Block start states obey a linear recurrence,
+S_(b+1) = A^64 S_b + c_b, which a doubling (parallel-prefix) scan solves
+for _CHUNK = 256 blocks at a time in 8 batched products.  For n time points
+and N nodes that is O(n * N) flops in O(n / 16384) Python iterations, with
+O(256 * d * N) working memory for a d-dimensional state.
 """
 
 from __future__ import annotations
@@ -56,10 +57,14 @@ from .quadrature import gauss_laguerre
 # the same (order, exponent) pair reuse one construction.
 _cached_rule = functools.lru_cache(maxsize=64)(gauss_laguerre)
 
-# Time steps caputo_derivative advances per block.  Its tables hold
-# O(_BLOCK * d * N) floats: on n = 1e4 compare runs, 128 raised peak memory
-# by ~0.9 MB for no measurable speed-up, and 32 ran ~10% slower.
+# Time steps per block; the tables hold O(_BLOCK * d * N) floats.  On n = 1e4
+# compare runs, 32 and 128 both ran 15-40% slower than 64.
 _BLOCK = 64
+# Blocks per doubling scan, which holds (_CHUNK + 1) * d * N floats.
+_CHUNK = 256
+# Largest m*n*k matrix product numpy's OpenBLAS runs on one thread.  On a
+# loaded 2-vCPU VM, larger ones sometimes waited 8-16 ms for the second.
+_ONE_THREAD = 1 << 19
 
 __all__ = [
     "Method",
@@ -188,6 +193,9 @@ class Signal:
 
         def lookup(t):
             t = np.asarray(t, dtype=float)
+            bad = ~np.isfinite(t)
+            if bad.any():
+                raise ValueError(f"sample lookup at t={float(t[bad].flat[0])!r} is not finite")
             idx = np.rint((t - t0) / h).astype(int)
             if np.any(idx < 0) or np.any(idx >= len(values)):
                 raise ValueError("sample lookup outside the tabulated range")
@@ -362,6 +370,52 @@ def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     return image[:, :d], image[:, d], image[:, d + 1]
 
 
+def _plan(method: Method, solver: str, alpha: float, order: int, h: float, fully_implicit: bool):
+    """Tables of one scheme, rule and step: (taps, A^B, reach, toeplitz, readout).
+
+    taps are the ufuncs forming each drive column from adjacent forcing
+    samples.  reach maps a block's B*q drives to the state they add by its
+    end, node by node, and toeplitz to its forced outputs; readout maps a
+    start state (N*d) to the block's free outputs.
+    """
+    rule = _cached_rule(order, method.weight_exponent(alpha))
+    ws = rule.scaled_weights
+    A, b0, b1 = _system(method, solver, alpha, rule.nodes, h, fully_implicit)
+    d, B = len(A), _BLOCK
+    # drive each step by the difference and the sum of its two forcing
+    # samples: the raw (f_{k-1}, f_k) taps nearly cancel and lose digits
+    taps = [(gain, op) for gain, op in ((0.5 * (b1 - b0), np.subtract), (0.5 * (b1 + b0), np.add)) if np.any(gain)]
+    q, w = len(taps), d + len(taps)
+    # A d x d matrix per node on the leading axis makes each product a batched
+    # matmul.  table[:, :, l] = A^l [I | gains], l < B, doubles its range per
+    # pass and A ends as A^B, squared by einsum: with matmul's fused multiply-
+    # adds, outputs left the per-block loop's by 1.4e-13 max|y|, not 2e-14.
+    A = step = np.moveaxis(A, -1, 0)
+    table = np.empty((order, d, B, w))
+    table[:, :, 0, :d] = np.eye(d)
+    table[:, :, 0, d:] = np.moveaxis(np.stack([gain for gain, _ in taps], axis=1), -1, 0)
+    flat = table.reshape(order, d, B * w)
+    m = 1
+    while m < B:
+        flat[:, :, m * w : 2 * m * w] = A @ flat[:, :, : m * w]
+        A = np.einsum("nrc,ncs->nrs", A, A)
+        m *= 2
+    reach = table[:, :, ::-1, d:].reshape(order, d, B * q)
+    # free output j of a block is W . (A^(j+1) S)[0]; forced output j is
+    # sum_m g_(j-m) u_m with g_l = W . (A^l [gains])[0]
+    free = (table[:, 0, :, :d] @ step) * ws[:, None, None]
+    readout = free.transpose(0, 2, 1).reshape(order * d, B)
+    g = np.einsum("n,nlq->lq", ws, table[:, 0, :, d:])
+    lag = np.arange(B)[:, None] - np.arange(B)[None, :]
+    forced = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
+    toeplitz = forced.transpose(1, 2, 0).reshape(B * q, B)
+    return tuple(op for _, op in taps), A, reach, toeplitz, readout
+
+
+# Repeated calls on one grid reuse the tables, ~1.2 MB for the N = 160 trapezoid.
+_cached_plan = functools.lru_cache(maxsize=2)(_plan)
+
+
 def caputo_derivative(
     method: Method,
     solver: str,
@@ -381,66 +435,54 @@ def caputo_derivative(
     if solver not in ("euler", "trapezoid"):
         raise ValueError(f"solver must be 'euler' or 'trapezoid', got {solver!r}")
     a = _alpha_value(alpha)
-    rule = _cached_rule(order, method.weight_exponent(a))
-    ws = rule.scaled_weights
-    h = grid.step
-    n = grid.count
+    n, h = grid.count, grid.step
+    taps, power, reach, toeplitz, readout = _cached_plan(method, solver, a, order, h, fully_implicit)
+    d, q, B = reach.shape[1], len(taps), _BLOCK
     f = _forcing_samples(method, signal, grid.times(), h)
-
-    A, b0, b1 = _system(method, solver, a, rule.nodes, h, fully_implicit)
-    d = len(A)
-    B = _BLOCK
-    # drive each step by the difference and the sum of its two forcing
-    # samples: the raw (f_{k-1}, f_k) taps nearly cancel and lose digits
-    gains, drives = [], []
-    for gain, drive in ((0.5 * (b1 - b0), f[1:] - f[:-1]), (0.5 * (b1 + b0), f[1:] + f[:-1])):
-        if np.any(gain):
-            gains.append(gain)
-            drives.append(drive)
-    steps = n - 1
-    blocks = -(-steps // B)
-    u = np.zeros((blocks * B, len(gains)))
-    u[:steps] = np.stack(drives, axis=1)
-    u = u.reshape(blocks, B, len(gains))
-
-    # Products go through einsum, not BLAS: multithreaded BLAS spins its
-    # workers between these small calls and doubles the CPU time.
-    # free[j-1] = W . (A^j)[0] for j = 1..B maps a block's start state to its
-    # outputs; impulse[l] = A^l [gains] for l = 0..B-1 is the state l steps
-    # after a unit drive.  Both double their known range per pass, and
-    # power ends as A^B.
-    free = np.empty((B, d, order))
-    free[0] = A[0] * ws
-    impulse = np.empty((B, d, len(gains), order))
-    impulse[0] = np.stack(gains, axis=1)
-    power = A
-    m = 1
-    while m < B:
-        free[m : 2 * m] = np.einsum("jcn,csn->jsn", free[:m], power)
-        impulse[m : 2 * m] = np.einsum("rcn,jcqn->jrqn", power, impulse[:m])
-        power = np.einsum("rcn,csn->rsn", power, power)
-        m *= 2
-    # forced output of step j in a block: sum_m g_(j-m) u_m, g_l = W . impulse[l][0]
-    g = np.einsum("lqn,n->lq", impulse[:, 0], ws)
-    lag = np.arange(B)[:, None] - np.arange(B)[None, :]
-    forced = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
+    blocks = -(-(n - 1) // B)
+    # blocks per output product, so that each stays on one BLAS thread
+    rows = max(1, _ONE_THREAD // (B * max(order * d, B * q)))
 
     # only CDR reads the initial slope, and its forcing is y'
     start = initial_state(method, a, order, f[0])
     # the Euler co-state starts from the same state
-    S = np.stack([start.x1, start.x2, start.x1, start.x2][:d])
-    y = np.einsum("bmq,jmq->bj", u, forced)
-    y[0] += np.einsum("jrn,rn->j", free, S)
-    for b in range(1, blocks):
-        # end state of block b-1: A^B S + sum_m A^(B-1-m) [gains] u_m
-        S = np.einsum("rcn,cn->rn", power, S) + np.einsum("lq,lrqn->rn", u[b - 1, ::-1], impulse)
-        y[b] += np.einsum("jrn,rn->j", free, S)
-    out = np.zeros(n)
-    out[1:] = y.ravel()[:steps]
-    return out
+    S = np.stack([start.x1, start.x2, start.x1, start.x2][:d], axis=1)[:, :, None]
+    # outputs land in place: out[1 + bB + j] is step j + 1 of block b
+    out = np.empty(1 + blocks * B)
+    out[0] = 0.0
+    y = out[1:].reshape(blocks, B)
+    # one buffer serves every chunk: a fresh one each page-faulted at n = 1e5
+    chunk = np.empty((order, d, min(blocks, _CHUNK) + 1))
+    for c in range(0, blocks, _CHUNK):
+        b = min(_CHUNK, blocks - c)
+        # the chunk's drives, a row of B*q per block, zero past the last step
+        lo, hi = c * B, min((c + b) * B, n - 1)
+        u = np.zeros((b, B * q))
+        for col, op in enumerate(taps):
+            op(f[lo + 1 : hi + 1], f[lo:hi], out=u.reshape(b * B, q)[: hi - lo, col])
+        # X[:, :, i] is the start state of block c + i.  A block's end state is
+        # A^B times its start plus what its drives add, a linear recurrence:
+        # after the doubling pass of span s, X[:, :, i] sums the drives of the
+        # 2s blocks before it, so log2(b) passes give every start state.
+        X = chunk[:, :, : b + 1]
+        X[:, :, :1] = S
+        np.matmul(reach, u.T, out=X[:, :, 1:])
+        X[:, :, 1:2] += power @ S
+        span, s = power, 1
+        while s < b:
+            X[:, :, 1 + s :] += span @ X[:, :, 1:-s]
+            span, s = span @ span, 2 * s
+        for i in range(0, b, rows):
+            j = min(i + rows, b)
+            start_states = X[:, :, i:j].reshape(order * d, j - i)
+            np.matmul(u[i:j], toeplitz, out=y[c + i : c + j])
+            y[c + i : c + j] += start_states.T @ readout
+        S = X[:, :, b:].copy()
+    return out[:n]
 
 
-_GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# 10-point Gauss-Legendre rule, built on first use: importing makes no LAPACK call.
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(10))
 # Panel count past which kernel_reference stops refining and raises.
 _MAX_PANELS = 1 << 20
 
@@ -449,9 +491,10 @@ def _composite_gauss(func, a: float, b: float, panels: int) -> float:
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_POINTS[None, :]
+    points, weights = _gauss_legendre()
+    pts = mid[:, None] + half[:, None] * points[None, :]
     vals = _sample(func, pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+    return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
 def kernel_reference(

@@ -96,7 +96,7 @@ class TestNodesCommand:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert "error: order 100000 exceeds 2000" in capsys.readouterr().err
+        assert "error: order 100000 exceeds 1000" in capsys.readouterr().err
         assert peak < 1_000_000
 
 
@@ -182,6 +182,21 @@ class TestDerivCommand:
         code = main(["deriv", "--case", "cubic", "--input", str(sample), "--alpha", "0.5", "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err == "error: --case and --input are mutually exclusive\n"
+
+    @pytest.mark.parametrize("flags", [["--n", "7"], ["--T", "9"]])
+    def test_input_rejects_grid_flags(self, tmp_path, capsys, flags):
+        # the file sets the grid; --n or --T would be silently ignored
+        sample = tmp_path / "s.csv"
+        sample.write_text("t,y\n0.0,0.0\n1.0,1.0\n2.0,4.0\n")
+        code = main(["deriv", "--input", str(sample), "--alpha", "0.5", *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --n and --T do not apply to --input")
+        assert not (tmp_path / "x_pointwise.csv").exists()
+
+    def test_case_mode_records_default_n(self, tmp_path):
+        run_cli(["deriv", "--case", "cubic", "--N", "10", "--out", str(tmp_path / "r")])
+        meta = json.loads((tmp_path / "r.meta.json").read_text())
+        assert meta["n"] == 10_000
 
     def test_stability_warning(self, tmp_path, capsys):
         out = tmp_path / "warn"
@@ -379,3 +394,14 @@ def test_runtime_imports_only_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "160"
+
+
+def test_import_makes_no_lapack_call():
+    # kernel_reference builds its Gauss-Legendre rule on first use, so
+    # importing the package leaves numpy.polynomial (and LAPACK) untouched
+    script = "import sys, caputodr\nprint('numpy.polynomial' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(caputodr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

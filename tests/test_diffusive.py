@@ -58,6 +58,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="t=0.25 falls between samples"):
             sig.y(np.array([0.1, 0.2, 0.25]))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, np.nan])])
+    def test_signal_from_samples_names_non_finite_time(self, t):
+        sig = Signal.from_samples(np.linspace(0.0, 1.0, 11), np.zeros(11))
+        with pytest.raises(ValueError, match=r"t=(nan|inf) is not finite"):
+            sig.y(t)
+
     def test_signal_from_samples_rejects_non_finite(self):
         times = np.linspace(0.0, 1.0, 11)
         values = times**2
@@ -392,12 +398,34 @@ class TestBlockBoundaries:
 
     B = diffusive._BLOCK
 
-    @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 3 * B + 5])
+    # 2B+1 .. 16B+1 give 3, 5, 9 and 17 blocks: one past each doubling span
+    @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 5, 4 * B + 1, 8 * B + 1, 16 * B + 1])
     @pytest.mark.parametrize("fully_implicit", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
     def test_matches_advance_ops(self, method, solver, fully_implicit, steps):
         _assert_matches_advance_ops(method, solver, fully_implicit, steps)
+
+
+class TestChunks:
+    """caputo_derivative with chunks of 4 blocks, carrying the state across them."""
+
+    B = diffusive._BLOCK
+
+    @pytest.mark.parametrize("steps", [4 * B, 4 * B + 1, 9 * B + 3])
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_advance_ops(self, method, solver, fully_implicit, steps, monkeypatch):
+        monkeypatch.setattr(diffusive, "_CHUNK", 4)
+        _assert_matches_advance_ops(method, solver, fully_implicit, steps)
+
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", [Method.YA, Method.CDR])
+    def test_one_block_per_output_product(self, method, solver, monkeypatch):
+        # a product budget of 1 forces one block per output product
+        monkeypatch.setattr(diffusive, "_ONE_THREAD", 1)
+        _assert_matches_advance_ops(method, solver, False, 9 * self.B + 3)
 
 
 class TestSampleFallback:

@@ -127,6 +127,22 @@ class TestGaussLaguerre:
         ref = christoffel_scaled_weights(rule.nodes, gamma)
         assert np.max(np.abs(rule.scaled_weights / ref - 1.0)) <= 1e-11
 
+    @pytest.mark.parametrize("gamma", [-0.6, 0.2, 0.6])
+    @pytest.mark.parametrize("order,tol", [(40, 4.4e-12), (160, 2.8e-10)])
+    def test_every_scaled_weight(self, order, tol, gamma):
+        # closed form at each computed node, as in test_top_scaled_weight;
+        # tol is twice the worst error of the two-pass recurrence this
+        # one-pass build replaced (2.2e-12 at N = 40, 1.4e-10 at N = 160)
+        rule = quadrature.gauss_laguerre(order, gamma)
+        with mpmath.workdps(40):
+            scale = mpmath.gamma(order + gamma + 1) / (mpmath.factorial(order) * (order + 1) ** 2)
+            worst = 0.0
+            for z, got in zip(rule.nodes.tolist(), rule.scaled_weights.tolist()):
+                z = mpmath.mpf(z)
+                exact = scale * z * mpmath.exp(z) / mpmath.laguerre(order + 1, gamma, z) ** 2
+                worst = max(worst, abs(float(got / exact) - 1.0))
+        assert worst <= tol
+
     @pytest.mark.parametrize("gamma", [-0.6, 0.2])
     @pytest.mark.parametrize("order", [300, 370, 380, 1000])
     def test_top_scaled_weight(self, order, gamma):
