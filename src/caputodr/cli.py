@@ -8,6 +8,8 @@ runs with the same configuration produce byte-identical data files.
 import argparse
 import os
 import sys
+import time
+import warnings
 
 import numpy as np
 
@@ -35,12 +37,25 @@ def _parse_sweep(text: str):
 
 
 def load_samples(path):
-    """Read a two-column t,y CSV, naming any malformed row; ``Signal.from_samples`` checks the samples."""
-    times, values = [], []
+    """Read a two-column t,y CSV, naming any malformed row; ``Signal.from_samples`` checks the samples.
+
+    One ``np.loadtxt`` call parses the rows; a file it refuses is read again row by row.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,y":
             raise ValueError(f"sample file must start with header 't,y', got {header!r}")
+        start = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty table warns
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] == 2:
+                return tuple(np.ascontiguousarray(rows.T))
+        except (ValueError, UserWarning):
+            pass
+        fh.seek(start)
+        times, values = [], []
         for line in fh:
             if not line.strip():
                 continue
@@ -117,7 +132,9 @@ def cmd_deriv(args) -> None:
     )
 
     csv_path = f"{args.out}_pointwise.csv"
-    report.write_pointwise_csv(csv_path, t, approx, exact_vals)
+    start = time.perf_counter()
+    csv_helpers = report.write_pointwise_csv(csv_path, t, approx, exact_vals)
+    csv_write_s = time.perf_counter() - start
     report.write_gnuplot_script(
         f"{args.out}_pointwise.gp",
         os.path.basename(csv_path),
@@ -127,7 +144,8 @@ def cmd_deriv(args) -> None:
     e_inf = None if exact_vals is None else max_error(approx, exact_vals)
     report.write_meta(
         f"{args.out}.meta.json",
-        _echo(args, command="deriv", label=label, alpha=alpha, e_inf=e_inf),
+        _echo(args, command="deriv", label=label, alpha=alpha, e_inf=e_inf, csv_helpers=csv_helpers,
+              csv_write_s=csv_write_s),
     )
 
 

@@ -308,6 +308,30 @@ class TestSampleLoading:
         assert capsys.readouterr().err.startswith("error: sample row 2 is not finite")
 
 
+class TestSampleParsing:
+    def test_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        t, y = np.linspace(0.0, 1.0, 1001), rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
+        f = tmp_path / "s.csv"
+        f.write_text("t,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+        times, values = load_samples(f)
+        assert np.array_equal(times, t) and np.array_equal(values, y)
+        assert times.flags.c_contiguous and values.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "body,want",
+        [
+            ("", ([], [])),  # the fast parse warns on an empty table
+            ("0.0,1_0\n", ([0.0], [10.0])),  # float() reads digit separators, loadtxt does not
+            ("0.0,1\n  \n0.5, 2 \n", ([0.0, 0.5], [1.0, 2.0])),  # a whitespace-only line
+        ],
+    )
+    def test_row_scan_reads_what_the_fast_parse_refuses(self, tmp_path, body, want):
+        f = tmp_path / "s.csv"
+        f.write_text("t,y\n" + body)
+        assert [a.tolist() for a in load_samples(f)] == list(map(list, want))
+
+
 class TestConvergenceCommand:
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sw"
