@@ -2,7 +2,6 @@
 
 from .diffusive import (
     DiffusiveState,
-    FractionalOrder,
     Method,
     Signal,
     TimeGrid,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiffusiveState",
-    "FractionalOrder",
     "Method",
     "QuadratureRule",
     "Signal",

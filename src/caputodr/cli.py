@@ -87,7 +87,7 @@ def _phase_check(h: float, order: int, gamma: float) -> None:
 
 
 def _resolve_problem(args):
-    """Turn --case/--input flags into (label, signal, alpha, grid, exact)."""
+    """Turn --case/--input flags into (label, signal, alpha, grid, exact values on the grid or None)."""
     if args.input is not None:
         if args.case is not None:
             raise ValueError("--case and --input are mutually exclusive")
@@ -110,22 +110,21 @@ def _resolve_problem(args):
     horizon = case.horizon if args.T is None else args.T
     args.n = 10_000 if args.n is None else args.n  # recorded in the meta
     grid = TimeGrid(horizon=horizon, count=args.n)
-    exact = lambda t: case.exact(t, alpha)
+    # the exact reference refuses a horizon past its series' range: fail before stepping
+    exact = np.asarray(case.exact(grid.times(), alpha), dtype=float)
     return name, case.signal, alpha, grid, exact
 
 
-def _echo(args, **extra) -> dict:
+def _write_meta(args, **extra) -> None:
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     payload.update(extra)
-    return payload
+    report.write_meta(f"{args.out}.meta.json", payload)
 
 
 def cmd_deriv(args) -> None:
-    label, signal, alpha, grid, exact_fn = _resolve_problem(args)
+    label, signal, alpha, grid, exact_vals = _resolve_problem(args)
     method = Method(args.method)
     t = grid.times()
-    # the exact reference refuses a horizon past its series' range: fail before stepping
-    exact_vals = None if exact_fn is None else np.asarray(exact_fn(t), dtype=float)
     _phase_check(grid.step, args.N, method.weight_exponent(alpha))
     approx = caputo_derivative(
         method, args.solver, alpha, args.N, grid, signal, fully_implicit=args.fully_implicit
@@ -136,53 +135,53 @@ def cmd_deriv(args) -> None:
     csv_helpers = report.write_pointwise_csv(csv_path, t, approx, exact_vals)
     csv_write_s = time.perf_counter() - start
     report.write_gnuplot_script(
-        f"{args.out}_pointwise.gp",
-        os.path.basename(csv_path),
+        csv_path,
         {"abs_err": 4, "rel_err": 5} if exact_vals is not None else {"approx": 2},
         f"{label} {method.value} {args.solver} N={args.N}",
     )
     e_inf = None if exact_vals is None else max_error(approx, exact_vals)
-    report.write_meta(
-        f"{args.out}.meta.json",
-        _echo(args, command="deriv", label=label, alpha=alpha, e_inf=e_inf, csv_helpers=csv_helpers,
-              csv_write_s=csv_write_s),
-    )
+    _write_meta(args, label=label, alpha=alpha, e_inf=e_inf, csv_helpers=csv_helpers,
+                csv_write_s=csv_write_s)
 
 
-def _sweep_errors(args, method, signal, alpha, grid, exact_vals):
-    errors = []
-    for order in args.sweep:
-        approx = caputo_derivative(
-            method, args.solver, alpha, order, grid, signal, fully_implicit=args.fully_implicit
-        )
-        errors.append(max_error(approx, exact_vals))
-    return np.array(errors)
+def _sweep(args, methods):
+    """E_inf of each method at each order of ``args.sweep``, against the case's exact reference.
+
+    Returns (label, alpha, errors), with ``errors`` keyed by method tag.
+    """
+    if len(args.sweep) < 4:
+        raise ValueError(f"{args.command} needs a sweep of at least 4 orders")
+    label, signal, alpha, grid, exact_vals = _resolve_problem(args)
+    if exact_vals is None:
+        raise ValueError(f"{args.command} requires a built-in case (an exact reference)")
+    # z_max grows with the weight exponent: one warning, for the largest
+    _phase_check(grid.step, max(args.sweep), max(m.weight_exponent(alpha) for m in methods))
+    errors = {}
+    for method in methods:
+        errors[method.value] = []
+        for order in args.sweep:
+            approx = caputo_derivative(
+                method, args.solver, alpha, order, grid, signal, fully_implicit=args.fully_implicit
+            )
+            errors[method.value].append(max_error(approx, exact_vals))
+    return label, alpha, errors
 
 
 def cmd_convergence(args) -> None:
-    if len(args.sweep) < 4:
-        raise ValueError("convergence needs a sweep of at least 4 orders")
-    label, signal, alpha, grid, exact_fn = _resolve_problem(args)
-    if exact_fn is None:
-        raise ValueError("convergence requires a built-in case (an exact reference)")
     method = Method(args.method)
-    exact_vals = np.asarray(exact_fn(grid.times()), dtype=float)
-    _phase_check(grid.step, max(args.sweep), method.weight_exponent(alpha))
-    errors = _sweep_errors(args, method, signal, alpha, grid, exact_vals)
-    fit = report.fit_loglog(args.sweep, errors)
+    label, alpha, errors = _sweep(args, (method,))
+    fit = report.fit_loglog(args.sweep, errors[method.value])
 
     csv_path = f"{args.out}_sweep.csv"
-    report.write_sweep_csv(csv_path, args.sweep, errors)
+    report.write_sweep_csv(csv_path, args.sweep, errors[method.value])
     report.write_gnuplot_script(
-        f"{args.out}_sweep.gp",
-        os.path.basename(csv_path),
+        csv_path,
         {"E_inf": 2},
         f"{label} {method.value} {args.solver} E_inf(N)",
         logscale=True,
     )
-    meta = _echo(
+    _write_meta(
         args,
-        command="convergence",
         label=label,
         alpha=alpha,
         slope=fit.slope,
@@ -190,50 +189,31 @@ def cmd_convergence(args) -> None:
         excluded_smallest=fit.excluded_smallest,
         theoretical_exponent=theoretical_exponent(method, alpha),
     )
-    report.write_meta(f"{args.out}.meta.json", meta)
 
 
-def cmd_compare(args) -> dict:
-    if len(args.sweep) < 4:
-        raise ValueError("compare needs a sweep of at least 4 orders")
-    label, signal, alpha, grid, exact_fn = _resolve_problem(args)
-    if exact_fn is None:
-        raise ValueError("compare requires a built-in case (an exact reference)")
-    exact_vals = np.asarray(exact_fn(grid.times()), dtype=float)
-    methods = (Method.YA, Method.CDR, Method.SDR, Method.ISDR)
-    # z_max grows with the weight exponent: one warning, for the largest
-    _phase_check(grid.step, max(args.sweep), max(m.weight_exponent(alpha) for m in methods))
-    errors = {}
-    slopes = {}
-    for method in methods:
-        errors[method.value] = _sweep_errors(args, method, signal, alpha, grid, exact_vals)
-        slopes[method.value] = report.fit_loglog(args.sweep, errors[method.value]).slope
+def cmd_compare(args) -> None:
+    label, alpha, errors = _sweep(args, (Method.YA, Method.CDR, Method.SDR, Method.ISDR))
+    slopes = {tag: report.fit_loglog(args.sweep, e).slope for tag, e in errors.items()}
 
     csv_path = f"{args.out}_compare.csv"
     report.write_compare_csv(csv_path, args.sweep, errors)
     report.write_gnuplot_script(
-        f"{args.out}_compare.gp",
-        os.path.basename(csv_path),
+        csv_path,
         {tag: i + 2 for i, tag in enumerate(errors)},
         f"{label} four-method E_inf(N), {args.solver}",
         logscale=True,
     )
-    report.write_meta(
-        f"{args.out}.meta.json",
-        _echo(args, command="compare", label=label, alpha=alpha, slopes=slopes),
-    )
-    return errors
+    _write_meta(args, label=label, alpha=alpha, slopes=slopes)
 
 
-def cmd_nodes(args):
+def cmd_nodes(args) -> None:
     rule = gauss_laguerre(args.N, args.gamma)
     if args.out is None:
-        report.write_nodes_csv("/dev/stdout", rule)
-        return rule
-    csv_path = f"{args.out}_nodes.csv"
-    report.write_nodes_csv(csv_path, rule)
-    report.write_meta(f"{args.out}.meta.json", _echo(args, command="nodes"))
-    return rule
+        # a duplicate of fd 1 writes at its offset; reopening /dev/stdout would truncate a redirected file
+        report.write_nodes_csv(os.dup(1), rule)
+        return
+    report.write_nodes_csv(f"{args.out}_nodes.csv", rule)
+    _write_meta(args)
 
 
 def _add_run_flags(p, sweep: bool):

@@ -68,7 +68,6 @@ _ONE_THREAD = 1 << 19
 
 __all__ = [
     "Method",
-    "FractionalOrder",
     "TimeGrid",
     "Signal",
     "DiffusiveState",
@@ -115,21 +114,12 @@ class Method(enum.Enum):
         return "derivative" if self in (Method.YA, Method.CDR) else "value"
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order alpha of the derivative, strictly inside (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
-
-
 def _alpha_value(alpha) -> float:
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return FractionalOrder(float(alpha)).alpha
+    """The order alpha of the derivative as a float, checked to lie strictly inside (0, 1)."""
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {a!r}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -210,11 +200,10 @@ class Signal:
 
 @dataclass(frozen=True)
 class DiffusiveState:
-    """States x1 (= w at each node) and their time derivatives x2 at step ``index``."""
+    """States x1 (= w at each node) and their time derivatives x2 at one time step."""
 
     x1: np.ndarray
     x2: np.ndarray
-    index: int
 
 
 def initial_state(method: Method, alpha, order: int, initial_slope: float = 0.0) -> DiffusiveState:
@@ -224,7 +213,7 @@ def initial_state(method: Method, alpha, order: int, initial_slope: float = 0.0)
         x2 = np.full(order, method.forcing_coefficient(alpha) * initial_slope)
     else:
         x2 = np.zeros(order)
-    return DiffusiveState(x1=x1, x2=x2, index=1)
+    return DiffusiveState(x1=x1, x2=x2)
 
 
 def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
@@ -273,7 +262,7 @@ def _advance(step, state: DiffusiveState, nodes: np.ndarray, forcing_prev, forci
         raise ValueError("state and node arrays disagree in length")
     x1, x2 = step(state.x1, state.x2, forcing_prev, forcing_curr, companion)
     # YA passes x2 through; the new state must not share the old one's array
-    return DiffusiveState(x1=x1, x2=x2.copy() if x2 is state.x2 else x2, index=state.index + 1)
+    return DiffusiveState(x1=x1, x2=x2.copy() if x2 is state.x2 else x2)
 
 
 def advance_euler(

@@ -147,24 +147,30 @@ def write_nodes_csv(path, rule) -> None:
             )
 
 
-def write_gnuplot_script(path, csv_path, columns, title, logscale=False) -> None:
-    """Companion gnuplot commands referencing a CSV by relative name.
+def _quoted(text) -> str:
+    """``text`` as a gnuplot single-quoted string, in which ``''`` stands for ``'``."""
+    return "'" + text.replace("'", "''") + "'"
+
+
+def write_gnuplot_script(csv_path, columns, title, logscale=False) -> None:
+    """Write ``x.gp`` beside ``x.csv``: gnuplot commands naming the CSV relative to the script.
 
     ``columns`` maps plot labels to 1-based CSV column indices.
     """
     lines = [
         "set datafile separator ','",
-        f"set title '{title}'",
+        f"set title {_quoted(title)}",
         "set key outside",
     ]
     if logscale:
         lines += ["set logscale xy", "set format y '%.1e'"]
+    data = _quoted(os.path.basename(csv_path))
     plots = ", ".join(
-        f"'{csv_path}' using 1:{idx} with linespoints title '{label}'"
+        f"{data} using 1:{idx} with linespoints title {_quoted(label)}"
         for label, idx in columns.items()
     )
     lines.append(f"plot {plots}")
-    with open(path, "w") as fh:
+    with open(os.path.splitext(csv_path)[0] + ".gp", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

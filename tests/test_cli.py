@@ -19,6 +19,11 @@ def run_cli(args):
     assert code == 0, f"CLI failed: {args}"
 
 
+def write_ramp(path):
+    # y = t on 11 samples of [0, 1]
+    path.write_text("t,y\n" + "".join(f"{i / 10!r},{i / 10!r}\n" for i in range(11)))
+
+
 class TestSlopeFit:
     def test_recovers_power_law(self):
         N = np.array([10, 20, 40, 80, 160])
@@ -98,6 +103,24 @@ class TestNodesCommand:
         assert code == 1
         assert "error: order 100000 exceeds 1000" in capsys.readouterr().err
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("mode", ["ab", "wb"])
+    def test_stdout_keeps_earlier_output(self, tmp_path, mode):
+        # `caputodr nodes >> log` and `(echo header; caputodr nodes) > out`: the table follows
+        # what the file already holds instead of truncating it
+        run_cli(["nodes", "--N", "3", "--gamma", "0.2", "--out", str(tmp_path / "ref")])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(caputodr.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        log = tmp_path / "log"
+        with open(log, mode) as fh:
+            fh.write(b"earlier\n")
+            fh.flush()
+            done = subprocess.run(
+                [sys.executable, "-m", "caputodr.cli", "nodes", "--N", "3", "--gamma", "0.2"],
+                stdout=fh, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        assert done.returncode == 0, done.stderr
+        assert log.read_bytes() == b"earlier\n" + (tmp_path / "ref_nodes.csv").read_bytes()
 
 
 class TestDerivCommand:
@@ -262,6 +285,73 @@ class TestDerivCommand:
         assert np.max(np.abs(approx_file - approx_lib)) <= 1e-12
 
 
+class TestGnuplotScripts:
+    def test_deriv_with_exact_reference(self, tmp_path):
+        run_cli(["deriv", "--case", "cubic", "--N", "5", "--n", "11", "--out", str(tmp_path / "d")])
+        assert (tmp_path / "d_pointwise.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set title 'cubic CDR euler N=5'\n"
+            "set key outside\n"
+            "plot 'd_pointwise.csv' using 1:4 with linespoints title 'abs_err', "
+            "'d_pointwise.csv' using 1:5 with linespoints title 'rel_err'\n"
+        )
+
+    def test_deriv_without_exact_reference(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_ramp(tmp_path / "s.csv")
+        run_cli(["deriv", "--input", "s.csv", "--alpha", "0.5", "--N", "5", "--out", "i"])
+        assert (tmp_path / "i_pointwise.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set title 's.csv CDR euler N=5'\n"
+            "set key outside\n"
+            "plot 'i_pointwise.csv' using 1:2 with linespoints title 'approx'\n"
+        )
+
+    def test_convergence(self, tmp_path):
+        run_cli([
+            "convergence", "--case", "cubic", "--sweep", "5,10,20,40", "--n", "101",
+            "--out", str(tmp_path / "c"),
+        ])
+        assert (tmp_path / "c_sweep.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set title 'cubic CDR euler E_inf(N)'\n"
+            "set key outside\n"
+            "set logscale xy\n"
+            "set format y '%.1e'\n"
+            "plot 'c_sweep.csv' using 1:2 with linespoints title 'E_inf'\n"
+        )
+
+    def test_compare(self, tmp_path):
+        run_cli([
+            "compare", "--case", "cubic", "--sweep", "5,10,20,40", "--n", "101",
+            "--out", str(tmp_path / "m"),
+        ])
+        plots = ", ".join(
+            f"'m_compare.csv' using 1:{i + 2} with linespoints title '{tag}'"
+            for i, tag in enumerate(["YA", "CDR", "SDR", "ISDR"])
+        )
+        assert (tmp_path / "m_compare.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set title 'cubic four-method E_inf(N), euler'\n"
+            "set key outside\n"
+            "set logscale xy\n"
+            "set format y '%.1e'\n"
+            f"plot {plots}\n"
+        )
+
+    def test_quotes_are_doubled(self, tmp_path, monkeypatch):
+        # inside a gnuplot single-quoted string '' stands for one '
+        monkeypatch.chdir(tmp_path)
+        write_ramp(tmp_path / "it's.csv")
+        run_cli(["deriv", "--input", "it's.csv", "--alpha", "0.5", "--method", "SDR", "--out", "q'run"])
+        assert (tmp_path / "q'run_pointwise.gp").read_text() == (
+            "set datafile separator ','\n"
+            "set title 'it''s.csv SDR euler N=50'\n"
+            "set key outside\n"
+            "plot 'q''run_pointwise.csv' using 1:2 with linespoints title 'approx'\n"
+        )
+
+
 class TestSampleLoading:
     def test_bad_header(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -363,6 +453,22 @@ class TestConvergenceCommand:
                 "convergence", "--case", "cubic", "--sweep", "10,5,20,40",
                 "--out", str(tmp_path / "x"),
             ])
+
+
+@pytest.mark.parametrize("command", ["convergence", "compare"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--case", "cubic", "--sweep", "10,20,30"], "needs a sweep of at least 4 orders"),
+        (["--input", "s.csv", "--alpha", "0.5"], "requires a built-in case (an exact reference)"),
+    ],
+)
+def test_sweep_refusals(tmp_path, capsys, monkeypatch, command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    write_ramp(tmp_path / "s.csv")
+    assert main([command, *flags, "--out", "x"]) == 1
+    assert capsys.readouterr().err == f"error: {command} {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "s.csv"]
 
 
 class TestCompareCommand:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from caputodr import (
-    FractionalOrder,
     Method,
     Signal,
     TimeGrid,
@@ -25,11 +24,13 @@ QUADRATIC = Signal(y=lambda t: t * t, y_prime=lambda t: 2.0 * t)
 
 class TestTypes:
     def test_fractional_order_bounds(self):
-        FractionalOrder(0.5)
-        with pytest.raises(ValueError):
-            FractionalOrder(0.0)
-        with pytest.raises(ValueError):
-            FractionalOrder(1.0)
+        assert diffusive._alpha_value(0.5) == 0.5
+        assert diffusive._alpha_value(np.float32(0.25)) == 0.25
+        for bad in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match=rf"alpha must lie strictly in \(0, 1\), got {bad!r}"):
+                diffusive._alpha_value(bad)
+        with pytest.raises(ValueError, match="got nan"):
+            Method.CDR.weight_exponent(math.nan)
 
     def test_time_grid(self):
         grid = TimeGrid(horizon=2.0, count=5)
@@ -91,7 +92,6 @@ class TestTypes:
         kappa = 2 * math.sin(0.2 * math.pi) / math.pi
         np.testing.assert_allclose(st.x2, 2.0 * kappa)
         assert np.all(st.x1 == 0.0)
-        assert st.index == 1
         for method in (Method.YA, Method.SDR, Method.ISDR):
             st = initial_state(method, 0.4, 3, initial_slope=2.0)
             assert np.all(st.x1 == 0.0) and np.all(st.x2 == 0.0)
@@ -104,17 +104,16 @@ class TestAdvance:
         # CDR, alpha=0.4, z=2, h=0.1, x1=1, x2=0, df=0
         from caputodr.diffusive import DiffusiveState
 
-        state = DiffusiveState(x1=np.array([1.0]), x2=np.array([0.0]), index=1)
+        state = DiffusiveState(x1=np.array([1.0]), x2=np.array([0.0]))
         nodes = np.array([2.0])
         new = advance_euler(Method.CDR, 0.4, state, nodes, self.GRID, 0.0, 0.0)
         assert new.x1[0] == pytest.approx(1.0, abs=0)
         assert new.x2[0] == pytest.approx(-0.4 / 1.04, rel=1e-15)
-        assert new.index == 2
 
     def test_trapezoid_frozen_example(self):
         from caputodr.diffusive import DiffusiveState
 
-        state = DiffusiveState(x1=np.array([1.0]), x2=np.array([0.0]), index=1)
+        state = DiffusiveState(x1=np.array([1.0]), x2=np.array([0.0]))
         nodes = np.array([2.0])
         eul = advance_euler(Method.CDR, 0.4, state, nodes, self.GRID, 0.0, 0.0)
         new = advance_trapezoid(Method.CDR, 0.4, state, eul, nodes, self.GRID, 0.0, 0.0)
@@ -125,7 +124,7 @@ class TestAdvance:
         from caputodr.diffusive import DiffusiveState
 
         kappa = Method.CDR.forcing_coefficient(0.4)
-        state = DiffusiveState(x1=np.array([0.5]), x2=np.array([0.25]), index=1)
+        state = DiffusiveState(x1=np.array([0.5]), x2=np.array([0.25]))
         nodes = np.array([0.0])
         new = advance_euler(Method.CDR, 0.4, state, nodes, self.GRID, 0.0, 1.0)
         assert new.x1[0] == pytest.approx(0.5 + 0.1 * 0.25)
@@ -136,7 +135,7 @@ class TestAdvance:
         # (h/2)(x2_old + x2_euler)
         from caputodr.diffusive import DiffusiveState
 
-        state = DiffusiveState(x1=np.array([0.5]), x2=np.array([0.25]), index=1)
+        state = DiffusiveState(x1=np.array([0.5]), x2=np.array([0.25]))
         nodes = np.array([0.0])
         eul = advance_euler(Method.SDR, 0.4, state, nodes, self.GRID, 0.0, 0.0)
         new = advance_trapezoid(Method.SDR, 0.4, state, eul, nodes, self.GRID, 0.0, 0.0)
