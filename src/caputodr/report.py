@@ -22,6 +22,9 @@ from . import _rows
 # 39.1 ms (2 columns), 95.7 -> 72.7 ms (5); 20,000 rows 65.7 -> 56.2 ms (2), 181.7 -> 120.0 ms (5).
 PARALLEL_ROWS = 20_000
 
+# CPU time depends on these, so the sidecar records them (None when unset)
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
+
 __all__ = [
     "SlopeFit",
     "fit_loglog",
@@ -83,13 +86,15 @@ def _fmt(x) -> str:
 def write_pointwise_csv(path, t, approx, exact=None) -> int:
     """Write the t,approx,exact,abs_err,rel_err table; return how many helpers formatted it.
 
-    A table of at least PARALLEL_ROWS rows is cut into one slice per usable CPU: helpers running
-    ``_rows.py`` format all but the first, which this process formats meanwhile, with the same bytes.
+    A table of at least PARALLEL_ROWS rows is cut into one slice per usable CPU, each of at least
+    PARALLEL_ROWS // 2 rows: helpers running ``_rows.py`` format all but the first, which this
+    process formats meanwhile, with the same bytes.
     """
     cols = np.array([t, approx] if exact is None else [t, approx, exact], dtype=float)
     slices = 1
     if cols.shape[1] >= PARALLEL_ROWS and sys.executable and os.path.isfile(_rows.__file__):
-        slices = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        slices = min(cpus, cols.shape[1] // max(PARALLEL_ROWS // 2, 1))
     bounds = [cols.shape[1] * i // slices for i in range(slices + 1)]
     helpers = []
     with open(path, "w") as fh:
@@ -175,11 +180,12 @@ def write_gnuplot_script(csv_path, columns, title, logscale=False) -> None:
 
 
 def write_meta(path, payload: dict) -> None:
-    """JSON sidecar holding config echo, timestamp, and versions."""
+    """JSON sidecar holding config echo, timestamp, versions and the BLAS thread settings."""
     import caputodr
 
     meta = dict(payload)
     meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    meta["blas_env"] = {var: os.environ.get(var) for var in BLAS_VARS}
     meta["versions"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,

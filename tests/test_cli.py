@@ -528,10 +528,46 @@ def test_runtime_imports_only_numpy():
 
 def test_import_makes_no_lapack_call():
     # kernel_reference builds its Gauss-Legendre rule on first use, so
-    # importing the package leaves numpy.polynomial (and LAPACK) untouched
-    script = "import sys, caputodr\nprint('numpy.polynomial' in sys.modules)\n"
+    # importing the modules leaves numpy.polynomial (and LAPACK) untouched
+    script = "import sys, caputodr.cli\nprint('numpy.polynomial' in sys.modules)\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(caputodr.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def fresh_env(**overrides):
+    """This checkout's package on the path, no BLAS settings but ``overrides``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(caputodr.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in report.BLAS_VARS}
+    env.update(PYTHONPATH=src, **overrides)
+    return env
+
+
+@pytest.mark.parametrize(
+    "preset,want",
+    [
+        ({}, {"OPENBLAS_THREAD_TIMEOUT": "4", "OPENBLAS_NUM_THREADS": None}),
+        ({"OPENBLAS_THREAD_TIMEOUT": "20", "OPENBLAS_NUM_THREADS": "2"},
+         {"OPENBLAS_THREAD_TIMEOUT": "20", "OPENBLAS_NUM_THREADS": "2"}),
+    ],
+)
+def test_cli_lets_idle_blas_threads_sleep(tmp_path, preset, want):
+    # `python -m caputodr.cli` sets the OpenBLAS idle timeout before numpy loads; an explicit one wins
+    prefix = str(tmp_path / "P")
+    done = subprocess.run(
+        [sys.executable, "-m", "caputodr.cli", "nodes", "--N", "3", "--gamma", "0.2", "--out", prefix],
+        env=fresh_env(**preset), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    blas_env = json.loads((tmp_path / "P.meta.json").read_text())["blas_env"]
+    assert blas_env == dict({"OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}, **want)
+
+
+def test_cli_import_after_numpy_sets_nothing():
+    # a host that loaded numpy already keeps its BLAS as it was started
+    script = "import os, numpy, caputodr.cli\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"

@@ -161,3 +161,15 @@ def test_helper_dying_before_a_large_input_is_an_error(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="exited 1 with 0 bytes for 10000 rows: 'died before reading'"):
         report.write_pointwise_csv(tmp_path / "p.csv", t, t, t)
     no_child_left()
+
+
+def test_helpers_capped_by_table_size(tmp_path, monkeypatch):
+    # each slice keeps at least PARALLEL_ROWS // 2 rows: 64 CPUs start one helper for 20,000 rows
+    t = np.linspace(0.0, 1.0, report.PARALLEL_ROWS)
+    want = in_process(tmp_path, monkeypatch, t, t * t, t)
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    path = tmp_path / "p.csv"
+    assert report.write_pointwise_csv(path, t, t * t, t) == 1
+    assert path.read_bytes() == want
+    no_child_left()
