@@ -1,4 +1,4 @@
-"""The one definition of a pointwise table row, t,approx,exact,abs_err,rel_err; standard library only.
+"""The one definition of a CSV row, ``repr`` of Python ints and floats joined by commas; standard library only.
 
 ``report`` also runs this file as ``python -I -S _rows.py NCOLS``: it reads NCOLS equal columns of
 native float64 from stdin, formats all of their rows, then writes the text to stdout.
@@ -8,9 +8,9 @@ import sys
 
 
 def rows(t, approx, exact=None):
-    """Yield the rows of lists of floats; the exactness columns are blank without ``exact``.
+    """Yield the pointwise rows t,approx,exact,abs_err,rel_err of lists of floats.
 
-    rel_err is blank wherever |exact| < 1e-14.
+    Without ``exact`` the last three columns are blank; rel_err is blank wherever |exact| < 1e-14.
     """
     if exact is None:
         for ti, ai in zip(t, approx):
@@ -20,6 +20,13 @@ def rows(t, approx, exact=None):
         ae = abs(ai - ei)
         rel = "" if abs(ei) < 1e-14 else repr(ae / abs(ei))
         yield f"{ti!r},{ai!r},{ei!r},{ae!r},{rel}\n"
+
+
+def write_table(path, columns) -> None:
+    """Write the CSV of ``columns``, a map from header name to a list of Python ints or floats."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns.values(), strict=True))
 
 
 if __name__ == "__main__":

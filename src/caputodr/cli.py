@@ -37,7 +37,7 @@ def _parse_sweep(text: str):
         values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sweep list {text!r}") from exc
-    if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("sweep must be a strictly increasing list")
     return values
 
@@ -179,7 +179,7 @@ def cmd_convergence(args) -> None:
     fit = report.fit_loglog(args.sweep, errors[method.value])
 
     csv_path = f"{args.out}_sweep.csv"
-    report.write_sweep_csv(csv_path, args.sweep, errors[method.value])
+    report.write_sweep_csv(csv_path, args.sweep, {"E_inf": errors[method.value]})
     report.write_gnuplot_script(
         csv_path,
         {"E_inf": 2},
@@ -202,7 +202,7 @@ def cmd_compare(args) -> None:
     slopes = {tag: report.fit_loglog(args.sweep, e).slope for tag, e in errors.items()}
 
     csv_path = f"{args.out}_compare.csv"
-    report.write_compare_csv(csv_path, args.sweep, errors)
+    report.write_sweep_csv(csv_path, args.sweep, {f"E_{tag}": e for tag, e in errors.items()})
     report.write_gnuplot_script(
         csv_path,
         {tag: i + 2 for i, tag in enumerate(errors)},

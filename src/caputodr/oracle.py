@@ -1,9 +1,8 @@
 """Independent ground truth: closed-form Caputo derivatives and an L1 evaluator.
 
-The L1 scheme is a brute-force O(n^2) product-integration discretization of
-the Caputo integral.  It shares no machinery with the diffusive stepping,
-which is what makes it a trustworthy cross-check; its global accuracy is
-O(h^(2-alpha)).
+The L1 scheme is a product-integration discretization of the Caputo
+integral.  It shares no machinery with the diffusive stepping, which is what
+makes it a trustworthy cross-check; its global accuracy is O(h^(2-alpha)).
 """
 
 from dataclasses import dataclass
@@ -53,8 +52,8 @@ def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:
 
     result[k] = h^(-alpha)/Gamma(2-alpha) * sum_{m=1}^{k} b_m (y_{k-m+1} - y_{k-m})
     with b_m = m^(1-alpha) - (m-1)^(1-alpha); exact for linear signals, and
-    O(h^(2-alpha)) accurate in general.  The convolution runs through
-    numpy's direct (non-FFT) kernel, so the cost stays honestly O(n^2).
+    O(h^(2-alpha)) accurate in general.  The same sum is taken by FFT, in
+    O(n log n), independent of ``diffusive``.
     """
     a = _alpha_value(alpha)
     times = grid.times()
@@ -63,7 +62,8 @@ def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:
     yv = _sample(signal.y, times)
     m = np.arange(1, n, dtype=float)
     b = m ** (1.0 - a) - (m - 1.0) ** (1.0 - a)
-    conv = np.convolve(b, np.diff(yv))[: n - 1]
+    size = 1 << (2 * n - 3).bit_length()  # past the full convolution's 2n - 3 terms
+    conv = np.fft.irfft(np.fft.rfft(b, size) * np.fft.rfft(np.diff(yv), size), size)[: n - 1]
     out = np.zeros(n)
     out[1:] = conv * h ** (-a) / specfun.gamma(2.0 - a)
     return out

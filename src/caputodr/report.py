@@ -1,8 +1,8 @@
 """Error reports: pointwise tables, E_inf sweeps, log-log slope fits, CSV output.
 
-All numeric CSV fields are written with ``repr(float(x))`` so files are
-byte-stable across runs and parse back to the identical doubles; anything
-time- or host-dependent goes to a JSON sidecar instead.
+Every CSV row is formatted by ``_rows``, as the ``repr`` of each field, so
+files are byte-stable across runs and parse back to the identical doubles;
+anything time- or host-dependent goes to a JSON sidecar instead.
 """
 
 import contextlib
@@ -30,7 +30,6 @@ __all__ = [
     "fit_loglog",
     "write_pointwise_csv",
     "write_sweep_csv",
-    "write_compare_csv",
     "write_nodes_csv",
     "write_gnuplot_script",
     "write_meta",
@@ -79,10 +78,6 @@ def fit_loglog(orders, errors) -> SlopeFit:
     return SlopeFit(slope, stderr)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_pointwise_csv(path, t, approx, exact=None) -> int:
     """Write the t,approx,exact,abs_err,rel_err table; return how many helpers formatted it.
 
@@ -126,30 +121,17 @@ def write_pointwise_csv(path, t, approx, exact=None) -> int:
     return len(helpers)
 
 
-def write_sweep_csv(path, orders, e_inf) -> None:
-    with open(path, "w") as fh:
-        fh.write("N,E_inf\n")
-        for N, e in zip(orders, e_inf):
-            fh.write(f"{int(N)},{_fmt(e)}\n")
-
-
-def write_compare_csv(path, orders, errors_by_method) -> None:
-    """Merged sweep table, one E_inf column per method tag."""
-    tags = list(errors_by_method)
-    with open(path, "w") as fh:
-        fh.write("N," + ",".join(f"E_{tag}" for tag in tags) + "\n")
-        for i, N in enumerate(orders):
-            row = ",".join(_fmt(errors_by_method[tag][i]) for tag in tags)
-            fh.write(f"{int(N)},{row}\n")
+def write_sweep_csv(path, orders, columns) -> None:
+    """Write the N column of ``orders``, then one column per entry of ``columns`` (header -> values)."""
+    table = {"N": [int(N) for N in orders]}
+    table.update((name, [float(e) for e in values]) for name, values in columns.items())
+    _rows.write_table(path, table)
 
 
 def write_nodes_csv(path, rule) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,node,weight,scaled_weight\n")
-        for i in range(rule.order):
-            fh.write(
-                f"{i},{_fmt(rule.nodes[i])},{_fmt(rule.weights[i])},{_fmt(rule.scaled_weights[i])}\n"
-            )
+    table = {"index": list(range(rule.order))}
+    table.update(node=rule.nodes.tolist(), weight=rule.weights.tolist(), scaled_weight=rule.scaled_weights.tolist())
+    _rows.write_table(path, table)
 
 
 def _quoted(text) -> str:

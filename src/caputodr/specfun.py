@@ -13,6 +13,7 @@ does).
 """
 
 import math
+from math import gamma
 
 import numpy as np
 
@@ -23,14 +24,6 @@ __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 # below 7.1e-11 for the sine derivative (alpha in [0.05, 0.99]).
 _MAX_ARG = 15.0
 _MAX_TERMS = 200  # bessel_j's series length before it reports non-convergence
-
-
-def gamma(x: float) -> float:
-    """Euler's Gamma function for real ``x``; raises ``ValueError`` at its poles."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma has a pole at x={x:g}")
-    return math.gamma(x)
 
 
 def _nonnegative(name: str, value, limit: float = math.inf) -> np.ndarray:

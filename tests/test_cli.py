@@ -206,6 +206,11 @@ class TestDerivCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: --case and --input are mutually exclusive\n"
 
+    def test_input_requires_alpha(self, tmp_path, capsys):
+        write_ramp(tmp_path / "s.csv")
+        assert main(["deriv", "--input", str(tmp_path / "s.csv"), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: --input mode requires --alpha\n"
+
     @pytest.mark.parametrize("flags", [["--n", "7"], ["--T", "9"]])
     def test_input_rejects_grid_flags(self, tmp_path, capsys, flags):
         # the file sets the grid; --n or --T would be silently ignored
@@ -454,6 +459,12 @@ class TestConvergenceCommand:
                 "--out", str(tmp_path / "x"),
             ])
 
+    def test_bad_sweep_list_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--case", "cubic", "--sweep", "5,x", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "bad sweep list '5,x'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["convergence", "compare"])
 @pytest.mark.parametrize(
@@ -461,6 +472,7 @@ class TestConvergenceCommand:
     [
         (["--case", "cubic", "--sweep", "10,20,30"], "needs a sweep of at least 4 orders"),
         (["--input", "s.csv", "--alpha", "0.5"], "requires a built-in case (an exact reference)"),
+        (["--case", "cubic", "--sweep", "5"], "needs a sweep of at least 4 orders"),
     ],
 )
 def test_sweep_refusals(tmp_path, capsys, monkeypatch, command, flags, message):

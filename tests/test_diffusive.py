@@ -80,6 +80,14 @@ class TestTypes:
         with pytest.raises(ValueError, match=match):
             Signal.from_samples(times, np.arange(len(times), dtype=float))
 
+    @pytest.mark.parametrize(
+        "times,values",
+        [([0.0, 0.5, 1.0], [0.0, 1.0]), ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]]), ([0.0], [1.0])],
+    )
+    def test_signal_from_samples_rejects_bad_shapes(self, times, values):
+        with pytest.raises(ValueError, match="need two equal-length 1-d arrays of at least 2 samples"):
+            Signal.from_samples(times, values)
+
     def test_method_exponents(self):
         a = 0.6
         assert Method.YA.weight_exponent(a) == pytest.approx(2 * a - 1)
@@ -182,6 +190,13 @@ class TestKernelReference:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             kernel_reference(Method.CDR, 0.4, -1.0, 1.0, QUADRATIC)
+
+    def test_panel_limit_is_an_error(self, monkeypatch):
+        # y' = 1.5 sqrt(t) is not smooth at 0, so 4 and 8 panels differ by far more than tol
+        monkeypatch.setattr(diffusive, "_MAX_PANELS", 4)
+        rough = Signal(y=lambda t: t**1.5, y_prime=lambda t: 1.5 * np.sqrt(t))
+        with pytest.raises(RuntimeError, match=r"did not reach tol=1e-15 within 4 panels"):
+            kernel_reference(Method.CDR, 0.4, 1.0, 1.0, rough, tol=1e-15)
 
 
 def _step_single_node(method, solver, alpha, z, t_end, h, signal):

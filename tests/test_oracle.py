@@ -134,6 +134,35 @@ class TestCaputoL1:
         assert expect * 0.7 <= ratio <= expect * 1.3
 
 
+def direct_l1(signal, alpha, grid):
+    """The L1 sum by numpy's direct O(n^2) convolution: the reference for the FFT path."""
+    n = grid.count
+    m = np.arange(1, n, dtype=float)
+    b = m ** (1.0 - alpha) - (m - 1.0) ** (1.0 - alpha)
+    conv = np.convolve(b, np.diff(signal.y(grid.times())))[: n - 1]
+    return np.concatenate(([0.0], conv * grid.step ** (-alpha) / math.gamma(2.0 - alpha)))
+
+
+def random_polynomial(seed):
+    rng = np.random.default_rng(seed)
+    poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=rng.integers(2, 8)))
+    return f"poly{seed}", Signal(y=poly), rng.uniform(0.05, 0.95), rng.uniform(0.5, 3.0)
+
+
+L1_SIGNALS = [(c.name, c.signal, c.alpha, c.horizon) for c in builtin_cases().values()]
+L1_SIGNALS += [random_polynomial(seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 101, 20_001])
+@pytest.mark.parametrize("name,signal,alpha,horizon", L1_SIGNALS, ids=[s[0] for s in L1_SIGNALS])
+def test_l1_fft_matches_direct_sum(n, name, signal, alpha, horizon):
+    grid = TimeGrid(horizon=horizon, count=n)
+    ref = direct_l1(signal, alpha, grid)
+    got = caputo_l1(signal, alpha, grid)
+    assert got.shape == ref.shape and got[0] == 0.0
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestBuiltinCases:
     def test_names_and_exact_at_origin(self):
         cases = builtin_cases()

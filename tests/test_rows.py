@@ -173,3 +173,18 @@ def test_helpers_capped_by_table_size(tmp_path, monkeypatch):
     assert report.write_pointwise_csv(path, t, t * t, t) == 1
     assert path.read_bytes() == want
     no_child_left()
+
+
+def test_table_fields_are_reprs(tmp_path):
+    path = tmp_path / "t.csv"
+    _rows.write_table(path, {"N": [1, 20], "a": [-0.0, 5e-324], "b": [float("nan"), float("-inf")]})
+    assert path.read_text() == "N,a,b\n1,-0.0,nan\n20,5e-324,-inf\n"
+    with pytest.raises(ValueError):
+        _rows.write_table(path, {"N": [1, 2], "a": [0.5]})
+
+
+def test_sweep_table_takes_numpy_values(tmp_path):
+    # numpy scalars are written as the Python numbers they hold
+    report.write_sweep_csv(tmp_path / "np.csv", np.array([10, 20]), {"E_x": np.array([0.1, 1e-300])})
+    report.write_sweep_csv(tmp_path / "py.csv", [10, 20], {"E_x": [0.1, 1e-300]})
+    assert (tmp_path / "np.csv").read_text() == (tmp_path / "py.csv").read_text() == "N,E_x\n10,0.1\n20,1e-300\n"
