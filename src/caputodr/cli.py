@@ -138,7 +138,7 @@ def cmd_deriv(args) -> None:
 
     csv_path = f"{args.out}_pointwise.csv"
     start = time.perf_counter()
-    csv_helpers = report.write_pointwise_csv(csv_path, t, approx, exact_vals)
+    csv_repr_fallbacks = report.write_pointwise_csv(csv_path, t, approx, exact_vals)
     csv_write_s = time.perf_counter() - start
     report.write_gnuplot_script(
         csv_path,
@@ -146,7 +146,7 @@ def cmd_deriv(args) -> None:
         f"{label} {method.value} {args.solver} N={args.N}",
     )
     e_inf = None if exact_vals is None else max_error(approx, exact_vals)
-    _write_meta(args, label=label, alpha=alpha, e_inf=e_inf, csv_helpers=csv_helpers,
+    _write_meta(args, label=label, alpha=alpha, e_inf=e_inf, csv_repr_fallbacks=csv_repr_fallbacks,
                 csv_write_s=csv_write_s)
 
 

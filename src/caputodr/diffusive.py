@@ -130,8 +130,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not 0.0 < self.horizon < math.inf:  # written so that nan fails it
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.count < 2:
             raise ValueError(f"count must be at least 2, got {self.count!r}")
 

@@ -48,8 +48,8 @@ def jacobi_matrix(order: int, gamma: float):
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if gamma <= -1.0:
-        raise ValueError(f"gamma must exceed -1, got {gamma:g}")
+    if not -1.0 < gamma < math.inf:  # written so that nan fails it
+        raise ValueError(f"gamma must exceed -1 and be finite, got {gamma:g}")
     k = np.arange(order, dtype=float)
     diag = 2.0 * k + gamma + 1.0
     j = np.arange(1, order, dtype=float)

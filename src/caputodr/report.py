@@ -1,26 +1,19 @@
 """Error reports: pointwise tables, E_inf sweeps, log-log slope fits, CSV output.
 
-Every CSV row is formatted by ``_rows``, as the ``repr`` of each field, so
-files are byte-stable across runs and parse back to the identical doubles;
-anything time- or host-dependent goes to a JSON sidecar instead.
+Every CSV row is formatted by ``_rows`` with the bytes of ``repr`` of each
+field, so files are byte-stable across runs and parse back to the identical
+doubles; anything time- or host-dependent goes to a JSON sidecar instead.
 """
 
-import contextlib
 import json
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rows
-
-# Tables of at least this many rows are formatted on every usable CPU.  On a 2-vCPU VM (a helper
-# starts in ~16 ms), writing in-process -> with one helper took, median of 21: 10,000 rows 34.5 ->
-# 39.1 ms (2 columns), 95.7 -> 72.7 ms (5); 20,000 rows 65.7 -> 56.2 ms (2), 181.7 -> 120.0 ms (5).
-PARALLEL_ROWS = 20_000
 
 # CPU time depends on these, so the sidecar records them (None when unset)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")
@@ -79,46 +72,12 @@ def fit_loglog(orders, errors) -> SlopeFit:
 
 
 def write_pointwise_csv(path, t, approx, exact=None) -> int:
-    """Write the t,approx,exact,abs_err,rel_err table; return how many helpers formatted it.
+    """Write the t,approx,exact,abs_err,rel_err table; return how many values went to ``repr``.
 
-    A table of at least PARALLEL_ROWS rows is cut into one slice per usable CPU, each of at least
-    PARALLEL_ROWS // 2 rows: helpers running ``_rows.py`` format all but the first, which this
-    process formats meanwhile, with the same bytes.
+    ``_rows.write_pointwise`` formats it with numpy in this process, with the bytes of ``repr``.
     """
-    cols = np.array([t, approx] if exact is None else [t, approx, exact], dtype=float)
-    slices = 1
-    if cols.shape[1] >= PARALLEL_ROWS and sys.executable and os.path.isfile(_rows.__file__):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        slices = min(cpus, cols.shape[1] // max(PARALLEL_ROWS // 2, 1))
-    bounds = [cols.shape[1] * i // slices for i in range(slices + 1)]
-    helpers = []
-    with open(path, "w") as fh:
-        fh.write("t,approx,exact,abs_err,rel_err\n")
-        try:
-            if slices > 1:
-                import subprocess
-
-                command, pipe = [sys.executable, "-I", "-S", _rows.__file__, str(len(cols))], subprocess.PIPE
-                for _ in range(slices - 1):
-                    helpers.append(subprocess.Popen(command, stdin=pipe, stdout=pipe, stderr=pipe))
-                for proc, lo, hi in zip(helpers, bounds[1:], bounds[2:]):
-                    # a helper that died early is reported from its exit status below
-                    with contextlib.suppress(BrokenPipeError), proc.stdin:
-                        proc.stdin.write(cols[:, lo:hi].tobytes())
-            fh.writelines(_rows.rows(*cols[:, : bounds[1]].tolist()))
-            for proc, lo, hi in zip(helpers, bounds[1:], bounds[2:]):
-                out, err = proc.stdout.read(), proc.stderr.read()  # a helper writes stderr only as it fails
-                if proc.wait() != 0 or out.count(b"\n") != hi - lo:
-                    tail = err.decode(errors="replace").strip()[-500:]
-                    raise RuntimeError(f"pointwise row helper exited {proc.returncode} with {len(out)} bytes "
-                                       f"for {hi - lo} rows: {tail!r}")
-                fh.flush()
-                fh.buffer.write(out)
-        finally:
-            for proc in helpers:
-                with proc:  # closes its pipes and waits
-                    proc.kill()
-    return len(helpers)
+    with open(path, "wb") as fh:
+        return _rows.write_pointwise(fh, t, approx, exact)
 
 
 def write_sweep_csv(path, orders, columns) -> None:

@@ -92,6 +92,13 @@ class TestNodesCommand:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_nonzero(self, tmp_path, capsys, gamma):
+        # eigvalsh used to fail on it with a misleading "Eigenvalues did not converge"
+        assert main(["nodes", "--N", "3", "--gamma", gamma, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: gamma must exceed -1 and be finite, got {gamma}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_order_too_large_exits_before_allocating(self, tmp_path, capsys):
         # a dense build at this order would need 80 GB
         tracemalloc.start()
@@ -182,6 +189,13 @@ class TestDerivCommand:
         code = main(["deriv", "--case", "cubic", *flags, "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_exits_nonzero(self, tmp_path, capsys, horizon):
+        # it used to write a table of nan
+        assert main(["deriv", "--n", "100", "--T", horizon, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: horizon must be positive and finite, got {horizon}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_exact_reference_past_series_limit_exits_nonzero(self, tmp_path, capsys):
         code = main(["deriv", "--case", "sine", "--T", "60", "--n", "101", "--out", str(tmp_path / "s")])
