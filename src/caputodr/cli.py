@@ -93,7 +93,10 @@ def _phase_check(h: float, order: int, gamma: float) -> None:
 
 
 def _resolve_problem(args):
-    """Turn --case/--input flags into (label, signal, alpha, grid, exact values on the grid or None)."""
+    """Turn --case/--input flags into (label, signal, alpha, grid, times, exact values or None).
+
+    The times are the file's own with --input; the stepping runs on the uniform grid they were checked against.
+    """
     if args.input is not None:
         if args.case is not None:
             raise ValueError("--case and --input are mutually exclusive")
@@ -106,7 +109,7 @@ def _resolve_problem(args):
         if times[0] != 0.0:
             raise ValueError("sample grid must start at t=0")
         grid = TimeGrid(horizon=float(times[-1]), count=len(times))
-        return args.input, signal, args.alpha, grid, None
+        return args.input, signal, args.alpha, grid, times, None
     cases = builtin_cases()
     name = args.case if args.case is not None else "cubic"
     if name not in cases:
@@ -117,8 +120,9 @@ def _resolve_problem(args):
     args.n = 10_000 if args.n is None else args.n  # recorded in the meta
     grid = TimeGrid(horizon=horizon, count=args.n)
     # the exact reference refuses a horizon past its series' range: fail before stepping
-    exact = np.asarray(case.exact(grid.times(), alpha), dtype=float)
-    return name, case.signal, alpha, grid, exact
+    times = grid.times()
+    exact = np.asarray(case.exact(times, alpha), dtype=float)
+    return name, case.signal, alpha, grid, times, exact
 
 
 def _write_meta(args, **extra) -> None:
@@ -128,9 +132,8 @@ def _write_meta(args, **extra) -> None:
 
 
 def cmd_deriv(args) -> None:
-    label, signal, alpha, grid, exact_vals = _resolve_problem(args)
+    label, signal, alpha, grid, t, exact_vals = _resolve_problem(args)
     method = Method(args.method)
-    t = grid.times()
     _phase_check(grid.step, args.N, method.weight_exponent(alpha))
     approx = caputo_derivative(
         method, args.solver, alpha, args.N, grid, signal, fully_implicit=args.fully_implicit
@@ -157,7 +160,7 @@ def _sweep(args, methods):
     """
     if len(args.sweep) < 4:
         raise ValueError(f"{args.command} needs a sweep of at least 4 orders")
-    label, signal, alpha, grid, exact_vals = _resolve_problem(args)
+    label, signal, alpha, grid, _, exact_vals = _resolve_problem(args)
     if exact_vals is None:
         raise ValueError(f"{args.command} requires a built-in case (an exact reference)")
     # z_max grows with the weight exponent: one warning, for the largest
@@ -267,8 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv):
+    """``argv`` with each token that starts with "-" and reads as a float joined to the option before it.
+
+    argparse takes ``-5e-1`` or ``-inf`` for an option; as ``--gamma=-5e-1`` it reaches the value checks.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

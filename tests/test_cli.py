@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -92,12 +93,24 @@ class TestNodesCommand:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_non_finite_gamma_exits_nonzero(self, tmp_path, capsys, gamma):
         # eigvalsh used to fail on it with a misleading "Eigenvalues did not converge"
         assert main(["nodes", "--N", "3", "--gamma", gamma, "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == f"error: gamma must exceed -1 and be finite, got {gamma}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_value_in_exponent_form(self, tmp_path):
+        # argparse would read -5e-1 as an option and exit 2 with "expected one argument"
+        for gamma in ("-5e-1", "-0.5"):
+            assert main(["nodes", "--N", "3", "--gamma", gamma, "--out", str(tmp_path / gamma)]) == 0
+        assert (tmp_path / "-5e-1_nodes.csv").read_bytes() == (tmp_path / "-0.5_nodes.csv").read_bytes()
+
+    def test_meta_records_versions(self, tmp_path):
+        run_cli(["nodes", "--N", "3", "--gamma", "0.2", "--out", str(tmp_path / "r")])
+        meta = json.loads((tmp_path / "r.meta.json").read_text())
+        versions = {"python": platform.python_version(), "numpy": np.__version__, "caputodr": caputodr.__version__}
+        assert meta["versions"] == versions
 
     def test_order_too_large_exits_before_allocating(self, tmp_path, capsys):
         # a dense build at this order would need 80 GB
@@ -183,6 +196,7 @@ class TestDerivCommand:
         [
             (["--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
             (["--n", "1"], "count must be at least 2, got 1"),
+            (["--alpha", "-1e-3"], "alpha must lie strictly in (0, 1), got -0.001"),
         ],
     )
     def test_bad_alpha_or_n_exits_nonzero(self, tmp_path, capsys, flags, message):
@@ -190,7 +204,7 @@ class TestDerivCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf"])
     def test_non_finite_horizon_exits_nonzero(self, tmp_path, capsys, horizon):
         # it used to write a table of nan
         assert main(["deriv", "--n", "100", "--T", horizon, "--out", str(tmp_path / "x")]) == 1
@@ -302,6 +316,20 @@ class TestDerivCommand:
         fd_signal = Signal(y=case.signal.y)
         approx_lib = caputo_derivative(Method.CDR, "euler", 0.6, 25, grid, fd_signal)
         assert np.max(np.abs(approx_file - approx_lib)) <= 1e-12
+
+    def test_input_writes_the_file_times(self, tmp_path):
+        # not the uniform grid rebuilt from t_last and the row count: 0.09999999999999999, 0.19999999999999998
+        times, values = [0.0, 0.1, 0.2, 0.3], [0.0, 0.5, 0.7, 0.8]
+        sample = tmp_path / "s.csv"
+        sample.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in zip(times, values)))
+        run_cli(["deriv", "--input", str(sample), "--alpha", "0.5", "--out", str(tmp_path / "o")])
+        rows = [r.split(",") for r in (tmp_path / "o_pointwise.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.0", "0.1", "0.2", "0.3"]
+        # the stepping still runs on that grid
+        grid = TimeGrid(horizon=0.3, count=4)
+        assert not np.array_equal(grid.times(), times)
+        approx = caputo_derivative(Method.CDR, "euler", 0.5, 50, grid, Signal.from_samples(times, values))
+        assert [r[1] for r in rows] == [repr(a) for a in approx.tolist()]
 
 
 class TestGnuplotScripts:

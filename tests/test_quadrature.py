@@ -167,6 +167,19 @@ class TestGaussLaguerre:
         total = math.fsum(rule.weights.tolist())
         assert total == pytest.approx(specfun.gamma(gamma + 1.0), rel=1e-12)
 
+    def test_refuses_nodes_out_of_order(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: eigvalsh(matrix)[::-1])
+        with pytest.raises(RuntimeError, match="^computed nodes are not strictly increasing and positive$"):
+            quadrature.gauss_laguerre(10, 0.2)
+
+    def test_refuses_weights_off_their_sum(self, monkeypatch):
+        # at order 300 the weights sum to Gamma(gamma+1) to a few 1e-14, not exactly
+        monkeypatch.setattr(quadrature, "_MASS_TOL", 0.0)
+        with pytest.raises(RuntimeError, match=r"^weights of the order-300 rule sum to Gamma\(gamma\+1\) only to "
+                           r"\S+ relative \(tolerance 0\)$"):
+            quadrature.gauss_laguerre(300, -0.37)
+
 
 class TestIntegrate:
     def test_constant(self):

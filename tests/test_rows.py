@@ -1,17 +1,19 @@
-"""The CSV row format: ``write_table`` for small tables, and the numpy pointwise writer against ``repr``."""
+"""The CSV row format: ``report._write_table`` for small tables, and the numpy pointwise writer against ``repr``."""
 
-import io
 import json
+import os
 import sys
+import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from caputodr import _rows, report
+from caputodr import report
 from caputodr.cli import main
 
 EDGE = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, np.nan, np.inf, -np.inf, 1e-15, -3e-15, 1.0 / 3.0]
-B = _rows.BLOCK_ROWS
+B = report.BLOCK_ROWS
 
 
 def rows(t, approx, exact=None):
@@ -32,9 +34,11 @@ def reference(*cols):
 
 def written(*cols):
     """(bytes, values given to repr) of the pointwise writer."""
-    fh = io.BytesIO()
-    slow = _rows.write_pointwise(fh, *cols)
-    return fh.getvalue(), slow
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        slow = report.write_pointwise_csv(path, *cols)
+        with open(path, "rb") as fh:
+            return fh.read(), slow
 
 
 def first_mismatch(got, want):
@@ -97,6 +101,26 @@ def test_edge_list_matches_repr():
     assert written(ties, ties)[1] == 2 * len(ties)
 
 
+def test_powers_of_two_stay_on_the_fast_path():
+    # the decimals that read back as a power of two lie within h/2 below it and h above
+    v = np.ldexp(1.0, np.arange(-333, 333))
+    v = v[(v >= 1e-100) & (v < 1e100)]
+    v = np.concatenate([v, -v])
+    got, slow = written(v, v[::-1].copy())
+    assert got == reference(v, v[::-1])
+    # all but +-2^-25 in each column: 2.98023223876953125e-08 lies halfway between two 17-digit decimals, a tie
+    assert Decimal(2.0**-25) == Decimal("2.98023223876953125e-08")
+    assert slow == 4
+
+
+def test_sixteen_digit_ties_go_to_repr():
+    # each is an odd multiple of 5 in its 17th digit, with both 16-digit neighbours within h (6.25 and 5.96)
+    ties = np.array([562949953421312.25, 536870912.00390625])
+    got, slow = written(ties, -ties)
+    assert got == reference(ties, -ties)
+    assert slow == 4
+
+
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 7])
 def test_block_boundaries(n):
     rng = np.random.default_rng(n)
@@ -115,7 +139,7 @@ def test_block_boundaries(n):
 def test_helpers_write_the_in_process_bytes(monkeypatch, slices, rows_):
     # the block formatting helpers write the bytes of the one-repr-per-field reference, however many
     # blocks (``slices``) the table is cut into
-    monkeypatch.setattr(_rows, "BLOCK_ROWS", -(-rows_ // slices))
+    monkeypatch.setattr(report, "BLOCK_ROWS", -(-rows_ // slices))
     rng = np.random.default_rng(rows_)
     t = np.linspace(0.0, 2.0, rows_)
     approx = rng.standard_normal(rows_)
@@ -128,7 +152,7 @@ def test_helpers_write_the_in_process_bytes(monkeypatch, slices, rows_):
 
 @pytest.mark.parametrize("block", [2, 3])
 def test_edge_values(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(_rows, "BLOCK_ROWS", block)
+    monkeypatch.setattr(report, "BLOCK_ROWS", block)
     values = np.array(EDGE)
     t = np.arange(len(values)) * 0.125
     exact = values[::-1].copy()
@@ -153,8 +177,8 @@ def test_unequal_columns_are_refused():
         written(np.zeros(3), np.zeros(2))
 
 
-def deriv(tmp_path, name):
-    argv = ["deriv", "--case", "cubic", "--N", "4", "--n", "201", "--out", str(tmp_path / name)]
+def deriv(tmp_path, name, *flags):
+    argv = ["deriv", "--case", "cubic", "--N", "4", "--n", "201", "--out", str(tmp_path / name), *flags]
     return main(argv)
 
 
@@ -164,10 +188,10 @@ def pointwise_columns(path):
 
 
 def test_cli_records_repr_fallbacks(tmp_path):
-    assert deriv(tmp_path, "x") == 0
+    assert deriv(tmp_path, "x", "--T", "1e-99") == 0
     meta = json.loads((tmp_path / "x.meta.json").read_text())
     assert "csv_helpers" not in meta and meta["csv_write_s"] > 0.0
-    # the grid holds powers of two (0.5, 0.25, 1.0, ...), which go to repr
+    # the times and values below 1e-100 lie outside the fast range and go to repr
     assert meta["csv_repr_fallbacks"] == written(*pointwise_columns(tmp_path / "x_pointwise.csv"))[1] > 0
 
 
@@ -177,7 +201,7 @@ def test_formats_in_process_when_no_helper_can_start(tmp_path, monkeypatch, how)
     if how == "no executable":
         monkeypatch.setattr(sys, "executable", "")
     else:
-        monkeypatch.setattr(_rows, "__file__", str(tmp_path))
+        monkeypatch.setattr(report, "__file__", str(tmp_path))
     assert deriv(tmp_path, "x") == 0
     path = tmp_path / "x_pointwise.csv"
     assert path.read_bytes() == reference(*pointwise_columns(path))
@@ -185,10 +209,10 @@ def test_formats_in_process_when_no_helper_can_start(tmp_path, monkeypatch, how)
 
 def test_table_fields_are_reprs(tmp_path):
     path = tmp_path / "t.csv"
-    _rows.write_table(path, {"N": [1, 20], "a": [-0.0, 5e-324], "b": [float("nan"), float("-inf")]})
+    report._write_table(path, {"N": [1, 20], "a": [-0.0, 5e-324], "b": [float("nan"), float("-inf")]})
     assert path.read_text() == "N,a,b\n1,-0.0,nan\n20,5e-324,-inf\n"
     with pytest.raises(ValueError):
-        _rows.write_table(path, {"N": [1, 2], "a": [0.5]})
+        report._write_table(path, {"N": [1, 2], "a": [0.5]})
 
 
 def test_sweep_table_takes_numpy_values(tmp_path):

@@ -133,6 +133,11 @@ class TestCaputoSinSeries:
         with pytest.raises(ValueError, match="-2"):
             specfun.caputo_sin_series(0.5, np.array([1.0, 0.0, -2.0]))
 
+    def test_non_convergence_is_an_error(self):
+        # nan passes the range check, and no term of its series falls below the tolerance
+        with pytest.raises(RuntimeError, match="^caputo_sin_series failed to converge$"):
+            specfun.caputo_sin_series(0.5, np.array([1.0, np.nan]))
+
 
 def _caputo_sin_mpmath(alpha, t):
     t = mpmath.mpf(t)
