@@ -62,8 +62,10 @@ _cached_rule = functools.lru_cache(maxsize=64)(gauss_laguerre)
 _BLOCK = 64
 # Blocks per doubling scan, which holds (_CHUNK + 1) * d * N floats.
 _CHUNK = 256
-# Largest m*n*k matrix product numpy's OpenBLAS runs on one thread.  On a
-# loaded 2-vCPU VM, larger ones sometimes waited 8-16 ms for the second.
+# Largest m*n*k matrix product numpy's OpenBLAS runs on one thread, given a
+# right operand in C order (in F order, one of this size ran on two).  A
+# product that wakes the sleeping second thread waits 8-17 ms for it on a
+# 2-vCPU VM.
 _ONE_THREAD = 1 << 19
 
 __all__ = [
@@ -397,7 +399,8 @@ def _plan(method: Method, solver: str, alpha: float, order: int, h: float, fully
     g = np.einsum("n,nlq->lq", ws, table[:, 0, :, d:])
     lag = np.arange(B)[:, None] - np.arange(B)[None, :]
     forced = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
-    toeplitz = forced.transpose(1, 2, 0).reshape(B * q, B)
+    # in C order, so that u @ toeplitz stays on one thread (see _ONE_THREAD)
+    toeplitz = np.ascontiguousarray(forced.transpose(1, 2, 0).reshape(B * q, B))
     return tuple(op for _, op in taps), A, reach, toeplitz, readout
 
 

@@ -8,11 +8,12 @@ blocks of BLOCK_ROWS rows, with the same bytes: the shortest decimal that reads 
 the nearest such. For 10^E <= |x| < 10^(E+1), v = |x|·10^(16-E) lies in [1e16, 1e17); it is formed
 as p + lo, the rounded product by a double-double 10^(16-E) and its error from Dekker's exact
 product, to ~1e-14. The decimals that read back as x lie within h of v, half an ulp of x in these
-units (0.55 < h < 11.2); below a power of two (h > 1.1) they lie within h/2 only. As 2h < 100, a
-multiple of 100 (15 digits or fewer) in that interval is repr's; failing one, the nearest multiple
-of 10 (16 digits) in it, or for a power of two the one above when the nearer one below is out;
-failing that, the nearest integer (17 digits). A comparison within TOL of its threshold (a tie),
-nan, inf, a subnormal and |x| outside [1e-100, 1e100) go to ``repr``.
+units (0.55 < h < 11.2). As 2h < 100, a multiple of 100 (15 digits or fewer) in that interval is
+repr's; failing one, the nearest multiple of 10 (16 digits) in it; failing that, the nearest
+integer (17 digits). A power of two (whose interval below v is h/2 only), v within 2 of 1e16 or
+200 of 1e17 (where the digits may belong to the next decade, or floor(log10) missed it), a
+comparison within TOL of its threshold (a tie), nan, inf, a subnormal and |x| outside
+[1e-100, 1e100) go to ``repr``.
 """
 
 import functools
@@ -136,11 +137,6 @@ def _shortest(a, tab):
     m, e2 = np.frexp(a)
     E = np.floor(np.log10(a)).astype(np.int64)
     p, lo = _scale(a, E - _LO, tab)
-    step = (p >= 1e17).astype(np.int64) - (p < 1e16)
-    redo = np.flatnonzero(step)
-    if redo.size:
-        E[redo] += step[redo]
-        p[redo], lo[redo] = _scale(a[redo], E[redo] - _LO, tab)
     h = np.ldexp(tab["hi"][E - _LO], e2 - 54)
     P = p.astype(np.int64)
     q100 = P // 100
@@ -157,35 +153,14 @@ def _shortest(a, tab):
         return np.abs(dist - edge) <= TOL
 
     tie = near(dist100, h) | ~in100 & (near(dist10, h) | near(dist10, 5) | ~in10 & near(dist1, 0.5))
-    two = np.flatnonzero(m == 0.5)
-    if two.size:
-        # Below a power of two the doubles are twice as dense: the bound below v is h/2, and the multiple of 10
-        # above may be in where the nearer one below is out. Two multiples of 10 at 5 tie only if both can be in;
-        # the one farther off is never near its bound (all 665 powers of two of the range are tested).
-        ha, d, k = h[two], d10[two], k10[two]
-        hb = 0.5 * ha
-        k += (d - 10 * k >= hb) & (10 * k + 10 - d < ha)
-        dist, lim10 = np.abs(d - 10 * k), np.where(d > 10 * k, hb, ha)
-        lim100 = np.where(d100[two] > 100 * up[two], hb, ha)
-        i100 = dist100[two] < lim100
-        i10 = ~i100 & (dist < lim10)
-        k10[two], in100[two], in10[two] = k, i100, i10
-        tie10 = near(dist, lim10) | near(dist, 5) & (hb > 5 - TOL) | ~i10 & near(dist1[two], 0.5)
-        tie[two] = near(dist100[two], lim100) | ~i100 & tie10
-    slow = (p < 1e16) | (p >= 1e17) | tie
+    # below a power of two the interval is h/2; near 1e16 or 1e17 the digits may be the decade's beside it
+    slow = (m == 0.5) | (p < 1e16 + 2) | (p > 1e17 - 200) | tie
     # the nearest multiple of 100, of 10 or integer, over 100, 10 or 1: arithmetic, as the masks are random
     third = P + k1.astype(np.int64)
     first = q100 + up - third
     second = 10 * q100 + (tens + k10).astype(np.int64) - third
     D = third + in100 * first + in10 * second
     count = 17 - in10 - 2 * in100
-    # near 1e16 or 1e17 the digits may be the 1 of the decade above or 16 nines below
-    edge = np.flatnonzero((p < 1e16 + 2) | (p > 1e17 - 200))
-    if edge.size:
-        d, c = D[edge], count[edge]
-        top, under = d == tab["pow10"][c], d < tab["pow10"][c - 1]
-        E[edge] += top.astype(np.int64) - under
-        D[edge], count[edge] = np.where(top, 1, d), np.where(top, 1, c - under)
     strip = np.flatnonzero(in100)
     if strip.size:
         d, c = D[strip], count[strip]

@@ -24,12 +24,13 @@ __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 # below 7.1e-11 for the sine derivative (alpha in [0.05, 0.99]).
 _MAX_ARG = 15.0
 _MAX_TERMS = 200  # bessel_j's series length before it reports non-convergence
+_MAX_SIN_TERMS = 1001  # caputo_sin_series' series length before it reports non-convergence
 
 
 def _nonnegative(name: str, value, limit: float = math.inf) -> np.ndarray:
-    """``value`` as a float array; an element below 0 or above ``limit`` raises, naming its value."""
+    """``value`` as a float array; an element that is nan, below 0 or above ``limit`` raises, naming its value."""
     arr = np.asarray(value, dtype=float)
-    for bad, rule in ((arr < 0.0, "non-negative"), (arr > limit, f"at most {limit:g}")):
+    for bad, rule in ((~(arr >= 0.0), "non-negative"), (arr > limit, f"at most {limit:g}")):
         if bad.any():
             raise ValueError(f"{name} must be {rule}, got {name}={arr[bad].flat[0]:g}")
     return arr
@@ -100,7 +101,7 @@ def caputo_sin_series(alpha: float, t):
     tt = ts.reshape(-1)[nonzero]
     term = np.full(nonzero.size, 1.0 / gamma(2.0 - alpha))
     denom = lambda m: (2 * m - alpha) * (2 * m + 1.0 - alpha)
-    if _series(flat, nonzero, tt * tt, term, 1e-15, denom, 1001).size:
+    if _series(flat, nonzero, tt * tt, term, 1e-15, denom, _MAX_SIN_TERMS).size:
         raise RuntimeError("caputo_sin_series failed to converge")
     flat[nonzero] *= ts.reshape(-1)[nonzero] ** (1.0 - alpha)
     return _shaped(out, t)

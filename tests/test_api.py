@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -50,3 +51,14 @@ def test_lazy_names():
         "True 0.1.0",
         "module 'caputodr' has no attribute 'no_such_name'",
     ]
+
+
+@pytest.mark.parametrize("folder", ["src", "tests"])
+def test_sources_parse_as_python_3_10(folder):
+    # pyproject's requires-python floor; this checks syntax only, not what the 3.10 library or numpy provide
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), folder)
+    paths = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files if f.endswith(".py")]
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

@@ -441,6 +441,14 @@ class TestChunks:
         monkeypatch.setattr(diffusive, "_ONE_THREAD", 1)
         _assert_matches_advance_ops(method, solver, False, 9 * self.B + 3)
 
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_output_product_tables_are_c_ordered(self, method, solver, fully_implicit):
+        # OpenBLAS keeps a product of _ONE_THREAD size on one thread only with its right operand in C order
+        _, _, _, toeplitz, readout = diffusive._plan(method, solver, 0.6, 20, 1e-3, fully_implicit)
+        assert toeplitz.flags.c_contiguous and readout.flags.c_contiguous
+
 
 class TestSampleFallback:
     TIMES = np.linspace(0.0, 1.0, 7)

@@ -4,7 +4,6 @@ import json
 import os
 import sys
 import tempfile
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -101,16 +100,14 @@ def test_edge_list_matches_repr():
     assert written(ties, ties)[1] == 2 * len(ties)
 
 
-def test_powers_of_two_stay_on_the_fast_path():
-    # the decimals that read back as a power of two lie within h/2 below it and h above
+def test_powers_of_two_go_to_repr():
+    # below a power of two the decimals that read back lie within h/2, a bound the fast path does not test
     v = np.ldexp(1.0, np.arange(-333, 333))
     v = v[(v >= 1e-100) & (v < 1e100)]
     v = np.concatenate([v, -v])
     got, slow = written(v, v[::-1].copy())
     assert got == reference(v, v[::-1])
-    # all but +-2^-25 in each column: 2.98023223876953125e-08 lies halfway between two 17-digit decimals, a tie
-    assert Decimal(2.0**-25) == Decimal("2.98023223876953125e-08")
-    assert slow == 4
+    assert slow == 2 * len(v) == 2660
 
 
 def test_sixteen_digit_ties_go_to_repr():

@@ -85,6 +85,10 @@ class TestBesselJ:
         with pytest.raises(ValueError, match="-0.25"):
             specfun.bessel_j(1.0, np.array([0.5, -0.25, 1.0]))
 
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="^x must be non-negative, got x=nan$"):
+            specfun.bessel_j(3.0, np.nan)
+
     def test_non_convergence_names_nu_and_x(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="nu=3, x=4"):
@@ -133,9 +137,13 @@ class TestCaputoSinSeries:
         with pytest.raises(ValueError, match="-2"):
             specfun.caputo_sin_series(0.5, np.array([1.0, 0.0, -2.0]))
 
-    def test_non_convergence_is_an_error(self):
-        # nan passes the range check, and no term of its series falls below the tolerance
+    def test_non_convergence_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_SIN_TERMS", 3)
         with pytest.raises(RuntimeError, match="^caputo_sin_series failed to converge$"):
+            specfun.caputo_sin_series(0.5, np.array([1.0, 4.0]))
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="^t must be non-negative, got t=nan$"):
             specfun.caputo_sin_series(0.5, np.array([1.0, np.nan]))
 
 
