@@ -75,19 +75,21 @@ def load_samples(path):
     return np.array(times), np.array(values)
 
 
-def _phase_check(h: float, order: int, gamma: float) -> None:
-    """Warn when h*z_max^2 >= 1 for the rule of this order and weight exponent.
+def _phase_check(h: float, order: int, alpha: float, methods) -> None:
+    """Warn once when rate(z_max)*h, the top node's turn (YA: decay) per step, is >= 1 for any of ``methods``.
 
     The states stay stable (the semi-implicit Euler propagator has det A = 1);
-    the warning is that the step does not resolve the top nodes' phase.  The
-    top node is read off the cached rule, which the run builds anyway.
+    the warning is that the step does not resolve the top nodes.  They are read
+    off the cached rules, which the run builds anyway.
     """
-    z_top = float(diffusive._cached_rule(order, gamma).nodes[-1])
-    if h * z_top * z_top >= 1.0:
+    turns = {m: h * m.rate(float(diffusive._cached_rule(order, m.weight_exponent(alpha)).nodes[-1])) for m in methods}
+    method = max(turns, key=turns.get)
+    if turns[method] >= 1.0:
+        name = "h*z_max^2" if method.rate(2.0) == 4.0 else "h*z_max"  # the rate is z^2 or z
         print(
-            f"warning: h*z_max^2 = {h * z_top * z_top:.3g} >= 1 (N={order}): the step "
-            "does not resolve the phase of the top nodes; proceeding, quadrature error "
-            "usually dominates",
+            f"warning: {name} = {turns[method]:.3g} >= 1 ({method.value}, N={order}): the step "
+            "does not resolve the phase or decay of the top nodes; proceeding, quadrature "
+            "error usually dominates",
             file=sys.stderr,
         )
 
@@ -134,7 +136,7 @@ def _write_meta(args, **extra) -> None:
 def cmd_deriv(args) -> None:
     label, signal, alpha, grid, t, exact_vals = _resolve_problem(args)
     method = Method(args.method)
-    _phase_check(grid.step, args.N, method.weight_exponent(alpha))
+    _phase_check(grid.step, args.N, alpha, (method,))
     approx = caputo_derivative(
         method, args.solver, alpha, args.N, grid, signal, fully_implicit=args.fully_implicit
     )
@@ -163,8 +165,8 @@ def _sweep(args, methods):
     label, signal, alpha, grid, _, exact_vals = _resolve_problem(args)
     if exact_vals is None:
         raise ValueError(f"{args.command} requires a built-in case (an exact reference)")
-    # z_max grows with the weight exponent: one warning, for the largest
-    _phase_check(grid.step, max(args.sweep), max(m.weight_exponent(alpha) for m in methods))
+    # z_max grows with the order: one warning, at the largest
+    _phase_check(grid.step, max(args.sweep), alpha, methods)
     errors = {}
     for method in methods:
         errors[method.value] = []

@@ -11,8 +11,8 @@ that evolve by a *local* ODE in time:
 
 Both solvers are the theta-rule on the linear state ODE: backward Euler
 is theta = 1 and the trapezoid theta = 1/2.  YA's x1' = -z^2 x1 + kappa f
-is the rule on one row.  For x1' = x2, x2' = -s x1 + g f' (s = z^2 and
-g = kappa, or z^4 and kappa z^2 for ISDR) the update is
+is the rule on one row.  For x1' = x2, x2' = -s x1 + g f' (s = rate^2, from
+``Method.rate``, and g = kappa, or kappa z^2 for ISDR) the update is
 
     x2 <- ((1 - theta(1-theta) s h^2) x2_old - s*h*x1_old + g*df) / (1 + theta^2 s h^2)
     x1 <- x1_old + h * ((1-theta) x2_old + theta * ahead)
@@ -109,6 +109,10 @@ class Method(enum.Enum):
         if self is Method.SDR:
             return 2.0 * math.cos(0.5 * math.pi * a) / math.pi
         return 4.0 * math.cos(0.5 * math.pi * a) / math.pi
+
+    def rate(self, z):
+        """Rate of the state at node z (YA's decay, the others' angular frequency): z, or z^2 for YA and ISDR."""
+        return z if self in (Method.CDR, Method.SDR) else z * z
 
     @property
     def forcing(self) -> str:
@@ -234,10 +238,10 @@ def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     lag = (1.0 - theta) / theta
     th = theta * h
     kappa = method.forcing_coefficient(alpha)
-    z2 = nodes * nodes
+    rate = method.rate(nodes)
     if method is Method.YA:
-        damp = 1.0 / (1.0 + th * z2)
-        fac = 1.0 - (1.0 - theta) * h * z2
+        damp = 1.0 / (1.0 + th * rate)
+        fac = 1.0 - (1.0 - theta) * h * rate
         hk = th * kappa
 
         def step(x1, x2, f_prev, f_curr, companion):
@@ -245,7 +249,7 @@ def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
 
         return step
 
-    s = z2 * z2 if method is Method.ISDR else z2
+    s = rate * rate
     gain = kappa * nodes * nodes if method is Method.ISDR else kappa
     sh = s * h
     damp = 1.0 / (1.0 + theta * theta * s * h * h)
@@ -512,11 +516,8 @@ def kernel_reference(
     if t == 0.0:
         return 0.0
     yp = signal.y_prime
-    rate = z * z if method in (Method.YA, Method.ISDR) else z
-    if method is Method.YA:
-        kernel = lambda u: np.exp(-u)
-    else:
-        kernel = np.cos if method is Method.CDR else np.sin
+    rate = method.rate(z)
+    kernel = {Method.YA: lambda u: np.exp(-u), Method.CDR: np.cos}.get(method, np.sin)
 
     def integrand(tau):
         return kernel((t - tau) * rate) * yp(tau)
@@ -533,9 +534,7 @@ def kernel_reference(
         raise RuntimeError(f"kernel_reference did not reach tol={tol:g} within {_MAX_PANELS} panels")
 
     kappa = method.forcing_coefficient(a)
-    if method is Method.SDR:
-        return kappa * curr / z
-    return kappa * curr
+    return kappa * curr / z if method is Method.SDR else kappa * curr
 
 
 def max_error(approx, exact) -> float:

@@ -29,7 +29,12 @@ def exact_power(p: float, alpha, t):
         raise ValueError(f"p must be positive, got {p!r}")
     a = _alpha_value(alpha)
     ratio = specfun.gamma(p + 1.0) / specfun.gamma(p + 1.0 - a)
-    return ratio * np.asarray(t, dtype=float) ** (p - a)
+    return specfun._shaped(ratio * specfun._nonnegative("t", t) ** (p - a), t)
+
+
+def _bessel_profile(mu: float, t):
+    """t^(mu/2) J_mu(2 sqrt(t)): the Bessel case's y (mu = nu), y' (nu - 1) and Caputo derivative (nu - alpha)."""
+    return t ** (0.5 * mu) * specfun.bessel_j(mu, 2.0 * np.sqrt(t))
 
 
 def exact_sin(alpha, t):
@@ -42,9 +47,7 @@ def exact_bessel(nu: float, alpha, t):
     a = _alpha_value(alpha)
     if nu - a <= -1.0:
         raise ValueError(f"need nu - alpha > -1, got nu={nu:g}, alpha={a:g}")
-    ts = specfun._nonnegative("t", t)
-    out = ts ** (0.5 * (nu - a)) * specfun.bessel_j(nu - a, 2.0 * np.sqrt(ts))
-    return specfun._shaped(out, t)
+    return specfun._shaped(_bessel_profile(nu - a, specfun._nonnegative("t", t)), t)
 
 
 def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:
@@ -81,14 +84,8 @@ class TestCase:
 
 
 def _bessel_signal(nu: float) -> Signal:
-    def y(t):
-        return t ** (0.5 * nu) * specfun.bessel_j(nu, 2.0 * np.sqrt(t))
-
-    def y_prime(t):
-        # d/dt [t^(nu/2) J_nu(2 sqrt t)] = t^((nu-1)/2) J_(nu-1)(2 sqrt t)
-        return t ** (0.5 * (nu - 1.0)) * specfun.bessel_j(nu - 1.0, 2.0 * np.sqrt(t))
-
-    return Signal(y=y, y_prime=y_prime)
+    # d/dt [t^(nu/2) J_nu(2 sqrt t)] = t^((nu-1)/2) J_(nu-1)(2 sqrt t)
+    return Signal(y=lambda t: _bessel_profile(nu, t), y_prime=lambda t: _bessel_profile(nu - 1.0, t))
 
 
 def builtin_cases() -> dict:

@@ -257,7 +257,7 @@ class TestDerivCommand:
     def test_stability_warning(self, tmp_path, capsys):
         out = tmp_path / "warn"
         run_cli(["deriv", "--case", "cubic", "--method", "CDR", "--N", "160", "--n", "101", "--out", str(out)])
-        assert "h*z_max^2" in capsys.readouterr().err
+        assert "h*z_max =" in capsys.readouterr().err
 
     def test_no_warning_when_top_node_is_resolved(self, tmp_path, capsys):
         # the top node of this rule is 29.2, so h*z_max^2 = 0.85; the old
@@ -274,6 +274,24 @@ class TestDerivCommand:
         err = capsys.readouterr().err
         assert err.count("h*z_max^2") == 1
         assert "phase" in err and "stability" not in err
+
+    @pytest.mark.parametrize("method, token", [("CDR", None), ("SDR", None), ("YA", "h*z_max^2"), ("ISDR", "h*z_max^2")])
+    def test_default_run_warns_by_rate(self, tmp_path, capsys, method, token):
+        # n = 1e4, N = 50: the top node turns 0.018 rad per step for CDR and SDR (z*h), 3.28 for ISDR (z^2*h)
+        run_cli(["deriv", "--case", "cubic", "--method", method, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        if token is None:
+            assert err == ""
+        else:
+            assert err.count("warning") == 1 and err.startswith(f"warning: {token} = ") and f"({method}, N=50)" in err
+
+    def test_compare_warns_once_from_the_rules_it_builds(self, tmp_path, capsys):
+        # 3 weight exponents x 5 orders; the check at N = 160 builds no rule of its own
+        diffusive._cached_rule.cache_clear()
+        diffusive._cached_plan.cache_clear()
+        run_cli(["compare", "--case", "cubic", "--out", str(tmp_path / "cmp")])
+        assert capsys.readouterr().err.count("warning") == 1
+        assert diffusive._cached_rule.cache_info().misses == 15
 
     def test_fully_implicit_flag_changes_output(self, tmp_path):
         base, variant = tmp_path / "base", tmp_path / "fi"

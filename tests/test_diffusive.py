@@ -407,6 +407,37 @@ class TestSchemeProperties:
         assert np.max(np.abs(det - want)) <= 1e-12
 
 
+class TestRate:
+    """Method.rate against the eigenvalues of the step caputo_derivative runs.
+
+    At each node with x = rate(z) h <= 0.05, YA's step scales its state by
+    ~exp(-x) and the other methods' steps turn theirs by ~x.  Measured
+    relative misfits: at most 0.497 x for YA (its backward Euler, 1/(1 + x)
+    against exp(-x)) and 0.023 x for the rotations.  The trapezoid that
+    consumes its Euler co-state has the co-state's pair at ~x and its own
+    pair, whose x1 row reads the co-state's x2, at ~x / sqrt(2).
+    """
+
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_eigenvalues_follow_rate(self, method, solver, fully_implicit):
+        alpha, h = 0.6, 1e-3
+        z = gauss_laguerre(20, method.weight_exponent(alpha)).nodes
+        z = z[method.rate(z) * h <= 0.05]
+        assert len(z) >= 4
+        x = method.rate(z) * h
+        A, _, _ = diffusive._system(method, solver, alpha, z, h, fully_implicit)
+        eig = np.linalg.eigvals(np.moveaxis(A, -1, 0))
+        if method is Method.YA:
+            assert np.all(np.abs(-np.log(np.abs(eig[:, 0])) / x - 1.0) <= 0.55 * x)
+            return
+        turn = np.sort(np.abs(np.angle(eig)), axis=1)
+        assert np.all(np.abs(turn[:, -1] / x - 1.0) <= 0.05 * x)
+        if turn.shape[1] == 4:
+            assert np.all(np.abs(turn[:, 0] * math.sqrt(2.0) / x - 1.0) <= 0.05 * x)
+
+
 class TestBlockBoundaries:
     """caputo_derivative around the edges of its blocks of time steps."""
 

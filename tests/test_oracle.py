@@ -88,6 +88,32 @@ class TestExactBessel:
             exact_bessel(3.0, 0.5, np.array([0.5, -1.0]))
 
 
+EXACT = [
+    lambda t: exact_power(1.6, 0.4, t),
+    lambda t: exact_sin(0.5, t),
+    lambda t: exact_bessel(3.0, 0.5, t),
+]
+
+
+@pytest.mark.parametrize("exact", EXACT, ids=["power", "sin", "bessel"])
+class TestExactArguments:
+    """The three closed forms share specfun's argument contract."""
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, np.array([0.5, -1.0]), np.array([math.nan, 0.5])])
+    def test_negative_or_nan_time_raises(self, exact, t):
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            exact(t)
+
+    def test_scalar_time_gives_float(self, exact):
+        assert type(exact(0.5)) is float and type(exact(np.float64(0.5))) is float
+
+    def test_array_time_gives_array(self, exact):
+        t = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+        out = exact(t)
+        assert isinstance(out, np.ndarray) and out.shape == t.shape
+        np.testing.assert_allclose(out[:, 0], [exact(float(v)) for v in t[:, 0]], rtol=1e-15, atol=0.0)
+
+
 class TestCaputoL1:
     def test_constant_is_zero(self):
         grid = TimeGrid(horizon=1.0, count=101)
