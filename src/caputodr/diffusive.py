@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import gauss_laguerre
+from .quadrature import _integer, gauss_laguerre
 
 # Rules are immutable (their arrays are read-only), so repeated runs over
 # the same (order, exponent) pair reuse one construction.
@@ -138,7 +138,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:  # written so that nan fails it
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if self.count < 2:
+        if _integer("count", self.count) < 2:
             raise ValueError(f"count must be at least 2, got {self.count!r}")
 
     @property
@@ -309,13 +309,18 @@ def advance_trapezoid(
 def _sample(func, times: np.ndarray) -> np.ndarray:
     """Evaluate ``func`` once on the whole array ``times``.
 
-    The callable must return one value per element; any other shape raises
-    ``ValueError`` naming it.  Its own exceptions propagate unchanged.
+    The callable must return one finite value per element; any other shape,
+    or a first inf or nan, raises ``ValueError`` naming it (and the value and
+    its time).  Its own exceptions propagate unchanged.
     """
     out = np.asarray(func(times), dtype=float)
+    name = getattr(func, "__qualname__", None) or repr(func)
     if out.shape != times.shape:
-        name = getattr(func, "__qualname__", None) or repr(func)
         raise ValueError(f"{name} returned shape {out.shape} for times of shape {times.shape}")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"{name} returned {float(out.flat[i])!r} at t={float(times.flat[i])!r}")
     return out
 
 
@@ -508,8 +513,10 @@ def kernel_reference(
     Gauss-Legendre panels, at least 8 per oscillation period, doubled until
     two successive refinements agree within ``tol``.
     """
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z!r}")
+    if not 0.0 < z < math.inf:  # written so that nan fails it
+        raise ValueError(f"z must be positive and finite, got z={z!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be non-negative and finite, got t={t!r}")
     if signal.y_prime is None:
         raise ValueError("kernel_reference requires a signal with an analytic derivative")
     a = _alpha_value(alpha)

@@ -13,6 +13,7 @@ space, so they stay accurate where w_i underflows (from order ~200 on).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,20 @@ class QuadratureRule:
     scaled_weights: np.ndarray
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer raises ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+
+
 def jacobi_matrix(order: int, gamma: float):
     """Diagonal and off-diagonal of the Jacobi matrix for z^gamma exp(-z).
 
     diag[k] = 2k + gamma + 1, offdiag[k] = sqrt(k (k + gamma)).
     """
+    order = _integer("order", order)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not -1.0 < gamma < math.inf:  # written so that nan fails it
@@ -101,7 +111,7 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
     RuntimeError when the weights miss Gamma(gamma+1) by more than 1e-12
     relative (seen for some gamma past order 1000).
     """
-    if order > _MAX_ORDER:
+    if _integer("order", order) > _MAX_ORDER:
         raise ValueError(
             f"order {order} exceeds {_MAX_ORDER}: higher orders are not kept to "
             f"the {_MASS_TOL:g} weight-sum tolerance"

@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares slope of log E against log N."""
+    """Least-squares slope of log E against log N, with the slope's standard error."""
 
     slope: float
     stderr: float
@@ -55,13 +55,15 @@ class SlopeFit:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
+    """Slope, its standard error s / sqrt(Sxx), the residual standard error s and the residuals."""
     xm = x - x.mean()
-    slope = float(xm @ (y - y.mean()) / (xm @ xm))
+    sxx = xm @ xm
+    slope = float(xm @ (y - y.mean()) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     dof = max(len(x) - 2, 1)
-    stderr = float(np.sqrt(resid @ resid / dof))
-    return slope, stderr, resid
+    s = float(np.sqrt(resid @ resid / dof))
+    return slope, float(s / np.sqrt(sxx)), s, resid
 
 
 def fit_loglog(orders, errors) -> SlopeFit:
@@ -80,9 +82,9 @@ def fit_loglog(orders, errors) -> SlopeFit:
         raise ValueError("orders and errors must be positive for a log-log fit")
     x = np.log(orders)
     y = np.log(errors)
-    slope, stderr, resid = _ols(x, y)
-    if len(orders) > 3 and abs(resid[0]) > 2.0 * stderr:
-        slope, stderr, _ = _ols(x[1:], y[1:])
+    slope, stderr, s, resid = _ols(x, y)
+    if len(orders) > 3 and abs(resid[0]) > 2.0 * s:
+        slope, stderr, _, _ = _ols(x[1:], y[1:])
         return SlopeFit(slope, stderr, excluded_smallest=True)
     return SlopeFit(slope, stderr)
 

@@ -41,46 +41,44 @@ def _shaped(arr: np.ndarray, like):
     return arr if np.ndim(like) else float(arr)
 
 
-def _series(flat, live, x, term, tol, denom, max_terms):
+def _series(x, term, tol, denom, max_terms):
     """Sum series with terms t_m = -x t_(m-1) / denom(m) from t_0 = ``term``.
 
-    ``live`` indexes ``flat`` and each element's x and t_0.  An element's
-    sum is written to ``flat`` once a term falls below ``tol`` of its
-    running sum (with an absolute floor); returns the indices still
-    unconverged after ``max_terms`` terms.
+    Each term is added to the elements still in the boolean ``live`` mask;
+    an element leaves it once a term falls below ``tol`` of its running sum
+    (with an absolute floor).  Returns the sums and ``live``, which marks
+    the elements still unconverged after ``max_terms`` terms.
     """
-    total = term.copy()
+    total, live = term.copy(), np.ones(term.shape, dtype=bool)
+    ratio, bound = np.empty_like(term), np.empty_like(term)  # reused: fresh arrays cost page faults
     for m in range(1, max_terms):
-        if not live.size:
+        if not live.any():
             break
-        term *= -x / denom(m)
-        total += term
-        done = np.abs(term) < tol * np.abs(total) + 1e-300
-        flat[live[done]] = total[done]
-        keep = ~done
-        live, x, term, total = live[keep], x[keep], term[keep], total[keep]
-    return live
+        term *= np.divide(x, -denom(m), out=ratio)
+        np.add(total, term, out=total, where=live)
+        np.multiply(np.abs(total, out=bound), tol, out=bound)
+        live &= np.abs(term, out=ratio) >= np.add(bound, 1e-300, out=bound)
+    return total, live
 
 
 def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x) by its ascending series.
 
     ``x`` is a float or an array of any shape, each element in [0, 15];
-    the result is a float or an array of that shape.  Needs nu > -1.  Each
-    element's series is summed until a term drops below 1e-16 of its
-    running sum.
+    the result is a float or an array of that shape.  Needs nu > -1; at
+    x = 0 it gives 1, 0 or +inf as nu is 0, above 0 or below 0.  Each
+    element's series is summed until a term drops below 1e-16 of its sum.
     """
     if nu <= -1.0:
         raise ValueError(f"bessel_j requires nu > -1, got nu={nu:g}")
     xs = _nonnegative("x", x, _MAX_ARG)
-    out = np.full(xs.shape, 1.0 if nu == 0.0 else 0.0)
-    live = np.flatnonzero(xs)
-    hh = 0.5 * xs.reshape(-1)[live]
-    term = hh**nu / gamma(nu + 1.0)
-    live = _series(out.reshape(-1), live, hh * hh, term, 1e-16, lambda m: m * (nu + m), _MAX_TERMS)
-    if live.size:
-        bad = xs.reshape(-1)[live[0]]
-        raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={bad:g}")
+    out = np.full(xs.shape, 1.0 if nu == 0.0 else math.inf if nu < 0.0 else 0.0)
+    nonzero = xs != 0.0
+    hh = 0.5 * xs[nonzero]
+    sums, live = _series(hh * hh, hh**nu / gamma(nu + 1.0), 1e-16, lambda m: m * (nu + m), _MAX_TERMS)
+    if live.any():
+        raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={xs[nonzero][live][0]:g}")
+    out[nonzero] = sums
     return _shaped(out, x)
 
 
@@ -95,13 +93,9 @@ def caputo_sin_series(alpha: float, t):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
     ts = _nonnegative("t", t, _MAX_ARG)
-    out = np.zeros(ts.shape)
-    flat = out.reshape(-1)
-    nonzero = np.flatnonzero(ts)
-    tt = ts.reshape(-1)[nonzero]
-    term = np.full(nonzero.size, 1.0 / gamma(2.0 - alpha))
+    term = np.full(ts.shape, 1.0 / gamma(2.0 - alpha))
     denom = lambda m: (2 * m - alpha) * (2 * m + 1.0 - alpha)
-    if _series(flat, nonzero, tt * tt, term, 1e-15, denom, _MAX_SIN_TERMS).size:
+    sums, live = _series(ts * ts, term, 1e-15, denom, _MAX_SIN_TERMS)
+    if live.any():
         raise RuntimeError("caputo_sin_series failed to converge")
-    flat[nonzero] *= ts.reshape(-1)[nonzero] ** (1.0 - alpha)
-    return _shaped(out, t)
+    return _shaped(sums * ts ** (1.0 - alpha), t)

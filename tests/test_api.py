@@ -53,6 +53,23 @@ def test_lazy_names():
     ]
 
 
+def test_benchmark_hooks_resolve():
+    # perfbench's traced mode wraps these names from outside; a moved name silently empties a per-layer
+    # metric.  write_compare_csv no longer exists (compare writes through the hooked write_sweep_csv).
+    traced = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "traced_cli.py")
+    script = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('traced_cli', {traced!r})\n"
+        "traced = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(traced)\n"
+        "from caputodr import cli, diffusive, oracle, report, specfun\n"
+        "tracer = traced.Tracer()\n"
+        "traced.install(tracer, cli, diffusive, oracle, report, specfun)\n"
+        "print(tracer.missing)\n"
+    )
+    assert run_fresh(script).strip() == "['caputodr.report.write_compare_csv']"
+
+
 @pytest.mark.parametrize("folder", ["src", "tests"])
 def test_sources_parse_as_python_3_10(folder):
     # pyproject's requires-python floor; this checks syntax only, not what the 3.10 library or numpy provide

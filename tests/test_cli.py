@@ -51,6 +51,19 @@ class TestSlopeFit:
         fit = report.fit_loglog(N, E)
         assert not fit.excluded_smallest
 
+    def test_stderr_is_the_slopes(self):
+        # textbook OLS: se(slope) = s / sqrt(Sxx), s^2 = RSS / (n - 2); not s itself
+        N = np.array([10, 20, 40, 80, 160])
+        E = 3.0 * N**-1.4 * np.exp([0.03, -0.02, 0.04, -0.05, 0.01])
+        fit = report.fit_loglog(N, E)
+        x, y = np.log(N), np.log(E)
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (intercept + slope * x)
+        s = math.sqrt(resid @ resid / (len(x) - 2))
+        assert not fit.excluded_smallest
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.stderr == pytest.approx(s / math.sqrt(np.sum((x - x.mean()) ** 2)), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             report.fit_loglog([10, 20], [1.0, 0.5])

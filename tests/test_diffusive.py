@@ -41,6 +41,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, count=1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+    def test_time_grid_count_must_be_an_integer(self, count):
+        # a fractional count would put the last time past the horizon
+        with pytest.raises(ValueError, match=rf"^count must be an integer, got count={count!r}$"):
+            TimeGrid(horizon=1.0, count=count)
+
+    def test_time_grid_takes_numpy_integers(self):
+        assert TimeGrid(horizon=1.0, count=np.int64(3)).times().tolist() == [0.0, 0.5, 1.0]
+
     def test_signal_modes(self):
         # forward differences stand in for y' exactly when y_prime is None
         assert QUADRATIC.y_prime is not None
@@ -190,6 +199,17 @@ class TestKernelReference:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             kernel_reference(Method.CDR, 0.4, -1.0, 1.0, QUADRATIC)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0])
+    def test_z_must_be_positive_and_finite(self, z):
+        with pytest.raises(ValueError, match=rf"^z must be positive and finite, got z={z!r}$"):
+            kernel_reference(Method.YA, 0.5, z, 1.0, QUADRATIC)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_t_must_be_non_negative_and_finite(self, t):
+        # unchecked, a negative t would integrate over [0, t] and return a number
+        with pytest.raises(ValueError, match=rf"^t must be non-negative and finite, got t={t!r}$"):
+            kernel_reference(Method.YA, 0.5, 1.0, t, QUADRATIC)
 
     def test_panel_limit_is_an_error(self, monkeypatch):
         # y' = 1.5 sqrt(t) is not smooth at 0, so 4 and 8 panels differ by far more than tol
@@ -511,6 +531,35 @@ class TestSampleFallback:
         diffusive._sample(case.signal.y_prime, times)
         exact = case.exact(times)
         assert isinstance(exact, np.ndarray) and exact.shape == times.shape
+
+    def test_non_finite_value_names_callable_value_and_time(self):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match=r"^log returned -inf at t=0\.0$"):
+                diffusive._sample(np.log, self.TIMES)
+        with pytest.raises(ValueError, match=r"<lambda> returned nan at t=0\.5$"):
+            diffusive._sample(lambda t: np.where(t < 0.4, t, np.nan), self.TIMES)
+
+    def test_infinite_derivative_raises_through_caputo_derivative(self):
+        # y' = 1/(2 sqrt t) is infinite at t = 0; unchecked, it would turn the derivative into NaN
+        def root_slope(t):
+            with np.errstate(divide="ignore"):
+                return 0.5 / np.sqrt(t)
+
+        signal = Signal(y=np.sqrt, y_prime=root_slope)
+        with pytest.raises(ValueError, match=r"root_slope returned inf at t=0\.0$"):
+            caputo_derivative(Method.CDR, "euler", 0.5, 10, TimeGrid(1.0, 101), signal)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_call_per_run(self, method):
+        calls = []
+
+        def counted(func):
+            return lambda t: calls.append(t.size) or func(t)
+
+        case = builtin_cases()["bessel"]
+        signal = Signal(y=counted(case.signal.y), y_prime=counted(case.signal.y_prime))
+        caputo_derivative(method, "trapezoid", 0.5, 20, TimeGrid(case.horizon, 1001), signal)
+        assert calls == [1001]
 
     def test_other_errors_propagate(self):
         def broken(t):

@@ -115,6 +115,11 @@ class TestExactArguments:
 
 
 class TestCaputoL1:
+    def test_nan_signal_raises(self):
+        sig = Signal(y=lambda t: np.where(t < 0.5, t, np.nan))
+        with pytest.raises(ValueError, match=r"<lambda> returned nan at t=0\.5$"):
+            caputo_l1(sig, 0.5, TimeGrid(horizon=1.0, count=11))
+
     def test_constant_is_zero(self):
         grid = TimeGrid(horizon=1.0, count=101)
         sig = Signal(y=lambda t: np.full_like(np.asarray(t, float), 2.5))

@@ -195,3 +195,19 @@ class TestIntegrate:
         rule = quadrature.gauss_laguerre(40, 0.0)
         got = rule.weights @ np.exp(-rule.nodes)
         assert got == pytest.approx(0.5, abs=1e-8)
+
+
+class TestIntegerOrder:
+    @pytest.mark.parametrize("order", [2.5, 3.0])
+    def test_gauss_laguerre_refuses_non_integer(self, order):
+        # unchecked, order 2.5 would build 3 nodes under order == 2
+        with pytest.raises(ValueError, match=rf"^order must be an integer, got order={order!r}$"):
+            quadrature.gauss_laguerre(order, 0.0)
+
+    def test_jacobi_matrix_refuses_non_integer(self):
+        with pytest.raises(ValueError, match=r"^order must be an integer, got order=2\.5$"):
+            quadrature.jacobi_matrix(2.5, 0.0)
+
+    def test_numpy_integer_order(self):
+        rule = quadrature.gauss_laguerre(np.int64(4), 0.5)
+        assert rule.order == 4 and type(rule.order) is int and rule.nodes.shape == (4,)

@@ -51,6 +51,9 @@ class TestBesselJ:
         assert specfun.bessel_j(3.0, 0.0) == 0.0
         assert specfun.bessel_j(0.0, 0.0) == 1.0
 
+    def test_negative_order_at_zero_is_infinite(self):
+        assert specfun.bessel_j(-0.5, 0.0) == math.inf == float(mpmath.besselj(-0.5, 0.0))
+
     def test_j3_at_2(self):
         assert specfun.bessel_j(3.0, 2.0) == pytest.approx(BESSEL_J3_2, rel=1e-13)
 
@@ -73,7 +76,7 @@ class TestBesselJ:
         assert isinstance(got, np.ndarray) and got.shape == x.shape
         for xi, gi in zip(x.flat, got.flat):
             if xi == 0.0:
-                assert gi == (1.0 if nu == 0.0 else 0.0)
+                assert gi == float(mpmath.besselj(nu, xi))
             else:
                 assert gi == pytest.approx(float(mpmath.besselj(nu, xi)), rel=1e-12)
 
