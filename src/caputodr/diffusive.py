@@ -137,9 +137,10 @@ class TimeGrid:
 
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:  # written so that nan fails it
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if _integer("count", self.count) < 2:
-            raise ValueError(f"count must be at least 2, got {self.count!r}")
+            raise ValueError(f"horizon must be positive and finite, got {float(self.horizon)!r}")
+        count = _integer("count", self.count)
+        if count < 2:
+            raise ValueError(f"count must be at least 2, got {count!r}")
 
     @property
     def step(self) -> float:
@@ -177,7 +178,7 @@ class Signal:
         bad = ~(np.isfinite(times) & np.isfinite(values))
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"sample row {i + 1} is not finite: t={times[i]!r}, y={values[i]!r}")
+            raise ValueError(f"sample row {i + 1} is not finite: t={float(times[i])!r}, y={float(values[i])!r}")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
         t0 = times[0]
@@ -346,26 +347,33 @@ def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     (x1, x2, e1, e2) for the trapezoid that consumes its Euler co-state
     (e1, e2).  The composed step is applied once to a batch of d unit states
     and the two unit forcings, which gives S_k = A S_{k-1} + b0 f_{k-1} + b1 f_k
-    with A of shape (d, d, N) and b0, b1 of shape (d, N).
+    with A of shape (d, d, N) and b0, b1 of shape (d, N).  A step so long
+    that a coefficient overflows raises ``ValueError``.
     """
-    step = _scheme(method, solver, alpha, nodes, h, fully_implicit)
     if method is Method.YA:
         d = 1
     elif solver == "trapezoid" and not fully_implicit:
         d = 4
-        euler = _scheme(method, "euler", alpha, nodes, h, False)
     else:
         d = 2
     probe = np.eye(d + 2)
     x = [np.repeat(probe[:, r : r + 1], len(nodes), axis=1) for r in range(d)]
     f_prev, f_curr = probe[:, d : d + 1], probe[:, d + 1 :]
-    if d == 1:
-        image = [step(x[0], None, f_prev, f_curr, None)[0]]
-    elif d == 2:
-        image = step(x[0], x[1], f_prev, f_curr, None)
-    else:
-        e1, e2 = euler(x[2], x[3], f_prev, f_curr, None)
-        image = [*step(x[0], x[1], f_prev, f_curr, e2), e1, e2]
+    # an overflow can also leave the coefficients finite: 1 / (1 + inf) is 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            step = _scheme(method, solver, alpha, nodes, h, fully_implicit)
+            if d == 1:
+                image = [step(x[0], None, f_prev, f_curr, None)[0]]
+            elif d == 2:
+                image = step(x[0], x[1], f_prev, f_curr, None)
+            else:
+                e1, e2 = _scheme(method, "euler", alpha, nodes, h, False)(x[2], x[3], f_prev, f_curr, None)
+                image = [*step(x[0], x[1], f_prev, f_curr, e2), e1, e2]
+    except FloatingPointError:
+        raise ValueError(
+            f"{method.value} {solver} step coefficients overflow at N={len(nodes)}, h={h:g}; shorten the step"
+        ) from None
     image = np.stack(image)  # image[r, p] is row r of the step applied to probe p
     return image[:, :d], image[:, d], image[:, d + 1]
 
@@ -514,9 +522,9 @@ def kernel_reference(
     two successive refinements agree within ``tol``.
     """
     if not 0.0 < z < math.inf:  # written so that nan fails it
-        raise ValueError(f"z must be positive and finite, got z={z!r}")
+        raise ValueError(f"z must be positive and finite, got z={float(z)!r}")
     if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be non-negative and finite, got t={t!r}")
+        raise ValueError(f"t must be non-negative and finite, got t={float(t)!r}")
     if signal.y_prime is None:
         raise ValueError("kernel_reference requires a signal with an analytic derivative")
     a = _alpha_value(alpha)

@@ -24,12 +24,18 @@ __all__ = [
 
 
 def exact_power(p: float, alpha, t):
-    """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha)."""
+    """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha); raises where a finite t overflows it."""
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
     a = _alpha_value(alpha)
     ratio = specfun.gamma(p + 1.0) / specfun.gamma(p + 1.0 - a)
-    return specfun._shaped(ratio * specfun._nonnegative("t", t) ** (p - a), t)
+    times = specfun._nonnegative("t", t)
+    with np.errstate(over="ignore"):  # checked below
+        out = ratio * times ** (p - a)
+    big = np.isinf(out) & np.isfinite(times)
+    if big.any():
+        raise ValueError(f"exact_power({p:g}, {a:g}) overflows at t={times[big].flat[0]:g}")
+    return specfun._shaped(out, t)
 
 
 def _bessel_profile(mu: float, t):

@@ -47,7 +47,8 @@ def _integer(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+        shown = value.item() if isinstance(value, np.generic) else value  # numpy 2 reprs np.float64(2.5)
+        raise ValueError(f"{name} must be an integer, got {name}={shown!r}") from None
 
 
 def jacobi_matrix(order: int, gamma: float):

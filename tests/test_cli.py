@@ -224,6 +224,23 @@ class TestDerivCommand:
         assert capsys.readouterr().err == f"error: horizon must be positive and finite, got {horizon}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_exact_reference_exits_nonzero(self, tmp_path, capsys):
+        # it warned of overflow in the reference and in the step, then failed in np.stack
+        code = main(["deriv", "--case", "cubic", "--T", "1e160", "--n", "11", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: exact_power(3, 0.6) overflows at t=1e+159\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_step_exits_nonzero(self, tmp_path, capsys):
+        f = tmp_path / "big.csv"
+        f.write_text("t,y\n0,0\n1e160,1\n2e160,2\n")
+        code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "x")])
+        assert code == 1
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: h*z_max = ")
+        assert error == "error: CDR euler step coefficients overflow at N=50, h=1e+160; shorten the step"
+        assert list(tmp_path.iterdir()) == [f]
+
     def test_exact_reference_past_series_limit_exits_nonzero(self, tmp_path, capsys):
         code = main(["deriv", "--case", "sine", "--T", "60", "--n", "101", "--out", str(tmp_path / "s")])
         assert code == 1
@@ -469,11 +486,11 @@ class TestSampleLoading:
     def test_non_finite_row(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("t,y\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
-        with pytest.raises(ValueError, match="row 2 is not finite"):
+        with pytest.raises(ValueError, match=r"^sample row 2 is not finite: t=0\.5, y=nan$"):
             Signal.from_samples(*load_samples(f))
         code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: sample row 2 is not finite")
+        assert capsys.readouterr().err == "error: sample row 2 is not finite: t=0.5, y=nan\n"
 
 
 class TestSampleParsing:
@@ -656,3 +673,33 @@ def test_cli_import_after_numpy_sets_nothing():
     done = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "None"
+
+
+NODES = '["nodes", "--N", "3", "--gamma", "0.2", "--out", PREFIX]'
+
+
+@pytest.mark.parametrize(
+    "script,enabled,frozen",
+    [
+        # a fresh process: the import-time heap is frozen and the collector back on
+        ("import caputodr.cli", True, True),
+        # a host that loaded numpy keeps its collector as it was, and nothing is frozen
+        ("import numpy, caputodr.cli", True, False),
+        # a collector the host switched off stays off
+        ("gc.disable(); import caputodr.cli", False, True),
+        ("gc.disable(); import numpy, caputodr.cli", False, False),
+        # main() in-process leaves the host's collector as it found it
+        (f"import caputodr.cli; gc.disable(); assert caputodr.cli.main({NODES}) == 0", False, True),
+        (f"import caputodr.cli; assert caputodr.cli.main({NODES}) == 0", True, True),
+        (f"import numpy, caputodr.cli; gc.disable(); assert caputodr.cli.main({NODES}) == 0", False, False),
+        (f"import numpy, caputodr.cli; assert caputodr.cli.main({NODES}) == 0", True, False),
+    ],
+    ids=["fresh", "after-numpy", "off-fresh", "off-after-numpy",
+         "main-off-fresh", "main-fresh", "main-off-after-numpy", "main-after-numpy"],
+)
+def test_cli_collector_guard(tmp_path, script, enabled, frozen):
+    # the collector is paused over the imports of a fresh process only; what they leave is frozen
+    code = f"import gc\nPREFIX = {str(tmp_path / 'P')!r}\n{script}\nprint(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(enabled), str(frozen)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestTypes:
     def test_time_grid_takes_numpy_integers(self):
         assert TimeGrid(horizon=1.0, count=np.int64(3)).times().tolist() == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "horizon,count,message",
+        [
+            (1.0, np.float64(2.5), "count must be an integer, got count=2.5"),
+            (1.0, np.int64(1), "count must be at least 2, got 1"),
+            (np.float64(np.nan), 3, "horizon must be positive and finite, got nan"),
+        ],
+        ids=["float-count", "count-below-2", "nan-horizon"],
+    )
+    def test_time_grid_names_numpy_scalars_plainly(self, horizon, count, message):
+        # numpy 2 would print np.float64(2.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TimeGrid(horizon=horizon, count=count)
+
     def test_signal_modes(self):
         # forward differences stand in for y' exactly when y_prime is None
         assert QUADRATIC.y_prime is not None
@@ -78,7 +93,7 @@ class TestTypes:
         times = np.linspace(0.0, 1.0, 11)
         values = times**2
         values[6] = np.nan
-        with pytest.raises(ValueError, match="row 7 is not finite"):
+        with pytest.raises(ValueError, match=r"^sample row 7 is not finite: t=0\.6000000000000001, y=nan$"):
             Signal.from_samples(times, values)
 
     @pytest.mark.parametrize(
@@ -210,6 +225,12 @@ class TestKernelReference:
         # unchecked, a negative t would integrate over [0, t] and return a number
         with pytest.raises(ValueError, match=rf"^t must be non-negative and finite, got t={t!r}$"):
             kernel_reference(Method.YA, 0.5, 1.0, t, QUADRATIC)
+
+    def test_numpy_scalars_are_named_plainly(self):
+        with pytest.raises(ValueError, match=r"^z must be positive and finite, got z=nan$"):
+            kernel_reference(Method.YA, 0.5, np.float64(np.nan), 1.0, QUADRATIC)
+        with pytest.raises(ValueError, match=r"^t must be non-negative and finite, got t=-1\.0$"):
+            kernel_reference(Method.YA, 0.5, 1.0, np.float64(-1.0), QUADRATIC)
 
     def test_panel_limit_is_an_error(self, monkeypatch):
         # y' = 1.5 sqrt(t) is not smooth at 0, so 4 and 8 panels differ by far more than tol
@@ -361,6 +382,16 @@ class TestCaputoDerivative:
     def test_solver_validation(self):
         with pytest.raises(ValueError):
             caputo_derivative(Method.CDR, "rk4", 0.5, 10, self.GRID, QUADRATIC)
+
+    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    @pytest.mark.parametrize("method", [Method.CDR, Method.SDR, Method.ISDR])
+    def test_overflowing_step_is_refused(self, method, solver, fully_implicit):
+        # s h^2 overflows; the plan build warned and failed with "need at least one array to stack"
+        grid = TimeGrid(horizon=1e160, count=11)
+        message = f"{method.value} {solver} step coefficients overflow at N=10, h=1e+159; shorten the step"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            caputo_derivative(method, solver, 0.5, 10, grid, Signal(y=lambda t: t / 1e160), fully_implicit)
 
 
 def _assert_matches_advance_ops(method, solver, fully_implicit, steps):

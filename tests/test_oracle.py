@@ -34,6 +34,11 @@ class TestExactPower:
         with pytest.raises(ValueError):
             exact_power(-1.0, 0.5, 1.0)
 
+    def test_overflow_is_refused(self):
+        # it returned inf with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^exact_power\(3, 0\.6\) overflows at t=1e\+160$"):
+            exact_power(3.0, 0.6, np.array([0.0, 1e100, 1e160, 2e160]))
+
 
 class TestExactSin:
     def test_origin(self):

@@ -208,6 +208,11 @@ class TestIntegerOrder:
         with pytest.raises(ValueError, match=r"^order must be an integer, got order=2\.5$"):
             quadrature.jacobi_matrix(2.5, 0.0)
 
+    def test_numpy_float_order_is_named_plainly(self):
+        # numpy 2 would print np.float64(2.5)
+        with pytest.raises(ValueError, match=r"^order must be an integer, got order=2\.5$"):
+            quadrature.gauss_laguerre(np.float64(2.5), 0.0)
+
     def test_numpy_integer_order(self):
         rule = quadrature.gauss_laguerre(np.int64(4), 0.5)
         assert rule.order == 4 and type(rule.order) is int and rule.nodes.shape == (4,)
