@@ -165,14 +165,14 @@ class Signal:
 
     @classmethod
     def from_samples(cls, times, values) -> "Signal":
-        """Signal backed by uniformly spaced samples, looked up by index.
+        """Signal backed by uniformly spaced samples, read only at their own times.
 
         Needs at least 2 samples, every t and y finite, and t strictly
-        increasing with spacing uniform to 1e-12 relative.  Looking up a
-        time off the samples (to that tolerance) raises.
+        increasing from t = 0 with spacing uniform to 1e-12 relative.  y of
+        the sample times to that tolerance is the samples, read-only.
         """
         times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)  # a copy: it is made read-only below
         if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
             raise ValueError("need two equal-length 1-d arrays of at least 2 samples")
         bad = ~(np.isfinite(times) & np.isfinite(values))
@@ -187,22 +187,21 @@ class Signal:
         tol = 1e-12 * max(abs(times[-1]), h)
         if np.max(np.abs(times - expected)) > tol:
             raise ValueError("sample grid spacing is not uniform to 1e-12 relative")
+        if t0 != 0.0:
+            raise ValueError("sample grid must start at t=0")
+        values.flags.writeable = False
 
-        def lookup(t):
+        def read(t):
             t = np.asarray(t, dtype=float)
-            bad = ~np.isfinite(t)
-            if bad.any():
-                raise ValueError(f"sample lookup at t={float(t[bad].flat[0])!r} is not finite")
-            idx = np.rint((t - t0) / h).astype(int)
-            if np.any(idx < 0) or np.any(idx >= len(values)):
-                raise ValueError("sample lookup outside the tabulated range")
-            off = np.abs(times[idx] - t) > tol
+            if t.shape != times.shape:
+                raise ValueError(f"a sampled signal reads only its {len(times)} sample times, got shape {t.shape}")
+            off = ~(np.abs(t - times) <= tol)  # written so that nan fails it
             if off.any():
-                raise ValueError(f"sample lookup at t={float(t[off].flat[0])!r} falls between samples")
-            out = values[idx]
-            return out if np.ndim(t) else float(out)
+                i = int(np.argmax(off))
+                raise ValueError(f"t={float(t[i])!r} is not sample time {i + 1} ({float(times[i])!r})")
+            return values
 
-        return cls(y=lookup)
+        return cls(y=read)
 
 
 @dataclass(frozen=True)
@@ -318,11 +317,16 @@ def _sample(func, times: np.ndarray) -> np.ndarray:
     name = getattr(func, "__qualname__", None) or repr(func)
     if out.shape != times.shape:
         raise ValueError(f"{name} returned shape {out.shape} for times of shape {times.shape}")
-    bad = ~np.isfinite(out)
+    return _finite(out, times, f"{name} returned")
+
+
+def _finite(values: np.ndarray, times: np.ndarray, what: str) -> np.ndarray:
+    """``values``, checked finite: the first inf or nan raises ``ValueError``, naming it and its time after ``what``."""
+    bad = ~np.isfinite(values)
     if bad.any():
         i = np.argmax(bad)
-        raise ValueError(f"{name} returned {float(out.flat[i])!r} at t={float(times.flat[i])!r}")
-    return out
+        raise ValueError(f"{what} {float(values.flat[i])!r} at t={float(times.flat[i])!r}")
+    return values
 
 
 def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float) -> np.ndarray:
@@ -336,7 +340,9 @@ def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float
         return _sample(signal.y, times)
     if signal.y_prime is not None:
         return _sample(signal.y_prime, times)
-    slope = np.diff(_sample(signal.y, times)) / h
+    y = _sample(signal.y, times)
+    with np.errstate(over="ignore"):  # an overflowing slope makes the derivative non-finite, which is refused
+        slope = np.diff(y) / h
     return np.append(slope, slope[-1])
 
 
@@ -439,7 +445,9 @@ def caputo_derivative(
     Builds the Gauss-Laguerre rule for the method's weight exponent, steps
     the per-node states across the grid with the requested solver ("euler"
     or "trapezoid"), and assembles sum_i W_i x1_i at each step, where W_i
-    are the exp-scaled weights.  The t = 0 entry is exactly zero.
+    are the exp-scaled weights.  The t = 0 entry is exactly zero.  A value
+    that overflows (from samples whose slope or difference does) raises
+    ``ValueError`` naming the first and its time.
     """
     if solver not in ("euler", "trapezoid"):
         raise ValueError(f"solver must be 'euler' or 'trapezoid', got {solver!r}")
@@ -447,7 +455,8 @@ def caputo_derivative(
     n, h = grid.count, grid.step
     taps, power, reach, toeplitz, readout = _cached_plan(method, solver, a, order, h, fully_implicit)
     d, q, B = reach.shape[1], len(taps), _BLOCK
-    f = _forcing_samples(method, signal, grid.times(), h)
+    times = grid.times()
+    f = _forcing_samples(method, signal, times, h)
     blocks = -(-(n - 1) // B)
     # blocks per output product, so that each stays on one BLAS thread
     rows = max(1, _ONE_THREAD // (B * max(order * d, B * q)))
@@ -462,32 +471,34 @@ def caputo_derivative(
     y = out[1:].reshape(blocks, B)
     # one buffer serves every chunk: a fresh one each page-faulted at n = 1e5
     chunk = np.empty((order, d, min(blocks, _CHUNK) + 1))
-    for c in range(0, blocks, _CHUNK):
-        b = min(_CHUNK, blocks - c)
-        # the chunk's drives, a row of B*q per block, zero past the last step
-        lo, hi = c * B, min((c + b) * B, n - 1)
-        u = np.zeros((b, B * q))
-        for col, op in enumerate(taps):
-            op(f[lo + 1 : hi + 1], f[lo:hi], out=u.reshape(b * B, q)[: hi - lo, col])
-        # X[:, :, i] is the start state of block c + i.  A block's end state is
-        # A^B times its start plus what its drives add, a linear recurrence:
-        # after the doubling pass of span s, X[:, :, i] sums the drives of the
-        # 2s blocks before it, so log2(b) passes give every start state.
-        X = chunk[:, :, : b + 1]
-        X[:, :, :1] = S
-        np.matmul(reach, u.T, out=X[:, :, 1:])
-        X[:, :, 1:2] += power @ S
-        span, s = power, 1
-        while s < b:
-            X[:, :, 1 + s :] += span @ X[:, :, 1:-s]
-            span, s = span @ span, 2 * s
-        for i in range(0, b, rows):
-            j = min(i + rows, b)
-            start_states = X[:, :, i:j].reshape(order * d, j - i)
-            np.matmul(u[i:j], toeplitz, out=y[c + i : c + j])
-            y[c + i : c + j] += start_states.T @ readout
-        S = X[:, :, b:].copy()
-    return out[:n]
+    # an overflow leaves inf or nan in the outputs, which are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(0, blocks, _CHUNK):
+            b = min(_CHUNK, blocks - c)
+            # the chunk's drives, a row of B*q per block, zero past the last step
+            lo, hi = c * B, min((c + b) * B, n - 1)
+            u = np.zeros((b, B * q))
+            for col, op in enumerate(taps):
+                op(f[lo + 1 : hi + 1], f[lo:hi], out=u.reshape(b * B, q)[: hi - lo, col])
+            # X[:, :, i] is the start state of block c + i.  A block's end state is
+            # A^B times its start plus what its drives add, a linear recurrence:
+            # after the doubling pass of span s, X[:, :, i] sums the drives of the
+            # 2s blocks before it, so log2(b) passes give every start state.
+            X = chunk[:, :, : b + 1]
+            X[:, :, :1] = S
+            np.matmul(reach, u.T, out=X[:, :, 1:])
+            X[:, :, 1:2] += power @ S
+            span, s = power, 1
+            while s < b:
+                X[:, :, 1 + s :] += span @ X[:, :, 1:-s]
+                span, s = span @ span, 2 * s
+            for i in range(0, b, rows):
+                j = min(i + rows, b)
+                start_states = X[:, :, i:j].reshape(order * d, j - i)
+                np.matmul(u[i:j], toeplitz, out=y[c + i : c + j])
+                y[c + i : c + j] += start_states.T @ readout
+            S = X[:, :, b:].copy()
+    return _finite(out[:n], times, f"{method.value} {solver} derivative overflows to")
 
 
 # 10-point Gauss-Legendre rule, built on first use: importing makes no LAPACK call.

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .diffusive import Signal, TimeGrid, _alpha_value, _sample
+from .diffusive import Signal, TimeGrid, _alpha_value, _finite, _sample
 
 __all__ = [
     "TestCase",
@@ -62,7 +62,8 @@ def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:
     result[k] = h^(-alpha)/Gamma(2-alpha) * sum_{m=1}^{k} b_m (y_{k-m+1} - y_{k-m})
     with b_m = m^(1-alpha) - (m-1)^(1-alpha); exact for linear signals, and
     O(h^(2-alpha)) accurate in general.  The same sum is taken by FFT, in
-    O(n log n), independent of ``diffusive``.
+    O(n log n), independent of ``diffusive``.  A value that overflows raises
+    ``ValueError`` naming the first and its time.
     """
     a = _alpha_value(alpha)
     times = grid.times()
@@ -72,10 +73,12 @@ def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:
     m = np.arange(1, n, dtype=float)
     b = m ** (1.0 - a) - (m - 1.0) ** (1.0 - a)
     size = 1 << (2 * n - 3).bit_length()  # past the full convolution's 2n - 3 terms
-    conv = np.fft.irfft(np.fft.rfft(b, size) * np.fft.rfft(np.diff(yv), size), size)[: n - 1]
     out = np.zeros(n)
-    out[1:] = conv * h ** (-a) / specfun.gamma(2.0 - a)
-    return out
+    # an overflow leaves inf or nan in the outputs, which are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = np.fft.irfft(np.fft.rfft(b, size) * np.fft.rfft(np.diff(yv), size), size)[: n - 1]
+        out[1:] = conv * h ** (-a) / specfun.gamma(2.0 - a)
+    return _finite(out, times, "L1 derivative overflows to")
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,9 @@ def fit_loglog(orders, errors) -> SlopeFit:
     errors = np.asarray(errors, dtype=float)
     if len(orders) < 3 or len(orders) != len(errors):
         raise ValueError("need at least 3 matching (N, E) pairs")
-    if np.any(orders <= 0) or np.any(errors <= 0):
-        raise ValueError("orders and errors must be positive for a log-log fit")
+    both = np.concatenate([orders, errors])
+    if not np.all((0.0 < both) & (both < np.inf)):  # written so that nan fails it
+        raise ValueError("orders and errors must be positive and finite for a log-log fit")
     x = np.log(orders)
     y = np.log(errors)
     slope, stderr, s, resid = _ols(x, y)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -68,6 +69,24 @@ def test_benchmark_hooks_resolve():
         "print(tracer.missing)\n"
     )
     assert run_fresh(script).strip() == "['caputodr.report.write_compare_csv']"
+
+
+@pytest.mark.parametrize("workload", ["sweep", "pointwise", "rules"])
+def test_benchmark_operations_pass_their_checks(workload, tmp_path):
+    # perfbench builds its references through the library (TimeGrid, Signal.from_samples, caputo_l1,
+    # caputo_derivative) and checks every CLI output against them: a name or behaviour it relies on that
+    # breaks fails here, not only in the benchmark run
+    from caputodr import cli
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for op in workloads.build(workload, 1, os.path.join(root, "src"), str(tmp_path)):
+        prefix = str(tmp_path / op.name)
+        assert cli.main(op.argv + ["--out", prefix]) == 0, op.name
+        with open(prefix + op.csv) as fh:
+            op.check(fh.read())
 
 
 @pytest.mark.parametrize("folder", ["src", "tests"])

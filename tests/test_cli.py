@@ -70,6 +70,21 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             report.fit_loglog([10, 20, 40], [1.0, -0.5, 0.2])
 
+    @pytest.mark.parametrize(
+        "orders,errors",
+        [
+            ([10, 20, 40], [1.0, math.nan, 0.2]),
+            ([10, 20, 40], [1.0, math.inf, 0.2]),
+            ([10, math.nan, 40], [1.0, 0.5, 0.2]),
+            ([10, 20, math.inf], [1.0, 0.5, 0.2]),
+        ],
+        ids=["nan-error", "inf-error", "nan-order", "inf-order"],
+    )
+    def test_refuses_non_finite(self, orders, errors):
+        # a nan error gave slope=nan, and an inf one a RuntimeWarning
+        with pytest.raises(ValueError, match="^orders and errors must be positive and finite for a log-log fit$"):
+            report.fit_loglog(orders, errors)
+
 
 class TestTheoreticalExponent:
     def test_values(self):
@@ -236,9 +251,27 @@ class TestDerivCommand:
         f.write_text("t,y\n0,0\n1e160,1\n2e160,2\n")
         code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "x")])
         assert code == 1
-        warning, error = capsys.readouterr().err.splitlines()
-        assert warning.startswith("warning: h*z_max = ")
-        assert error == "error: CDR euler step coefficients overflow at N=50, h=1e+160; shorten the step"
+        # the resolution check runs after the stepping, so no warning precedes the error
+        err = capsys.readouterr().err
+        assert err == "error: CDR euler step coefficients overflow at N=50, h=1e+160; shorten the step\n"
+        assert list(tmp_path.iterdir()) == [f]
+
+    @pytest.mark.parametrize(
+        "rows,methods,where",
+        [
+            ("0,0\n1e-320,1\n2e-320,2\n", ["YA", "CDR"], "1e-320"),
+            ("0,0\n0.5,1e308\n1,-1e308\n", ["YA", "CDR", "SDR", "ISDR"], "0.5"),
+        ],
+        ids=["slope", "difference"],
+    )
+    def test_overflowing_samples_exit_nonzero(self, tmp_path, capsys, rows, methods, where):
+        # they wrote nan rows and exited 0; the second one also warned of the unresolved top nodes first
+        f = tmp_path / "s.csv"
+        f.write_text("t,y\n" + rows)
+        for method in methods:
+            argv = ["deriv", "--input", str(f), "--alpha", "0.5", "--method", method, "--out", str(tmp_path / "x")]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {method} euler derivative overflows to nan at t={where}\n"
         assert list(tmp_path.iterdir()) == [f]
 
     def test_exact_reference_past_series_limit_exits_nonzero(self, tmp_path, capsys):
@@ -316,12 +349,14 @@ class TestDerivCommand:
             assert err.count("warning") == 1 and err.startswith(f"warning: {token} = ") and f"({method}, N=50)" in err
 
     def test_compare_warns_once_from_the_rules_it_builds(self, tmp_path, capsys):
-        # 3 weight exponents x 5 orders; the check at N = 160 builds no rule of its own
+        # 3 weight exponents x 5 orders; the check at N = 160 builds no rule of its own.  ISDR shares YA's
+        # exponent (5 hits), and the check reads the 4 methods' N = 160 rules (4 hits)
         diffusive._cached_rule.cache_clear()
         diffusive._cached_plan.cache_clear()
         run_cli(["compare", "--case", "cubic", "--out", str(tmp_path / "cmp")])
         assert capsys.readouterr().err.count("warning") == 1
-        assert diffusive._cached_rule.cache_info().misses == 15
+        info = diffusive._cached_rule.cache_info()
+        assert (info.misses, info.hits) == (15, 9)
 
     def test_fully_implicit_flag_changes_output(self, tmp_path):
         base, variant = tmp_path / "base", tmp_path / "fi"

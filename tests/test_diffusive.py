@@ -70,24 +70,40 @@ class TestTypes:
         assert QUADRATIC.y_prime is not None
         assert Signal(y=lambda t: t).y_prime is None
 
-    def test_signal_from_samples(self):
-        times = np.linspace(0.0, 1.0, 11)
-        sig = Signal.from_samples(times, times**2)
-        assert sig.y_prime is None
-        assert sig.y(0.3) == pytest.approx(0.09)
-        np.testing.assert_allclose(sig.y(times), times**2)
-        with pytest.raises(ValueError):
-            sig.y(1.5)
-        with pytest.raises(ValueError, match="t=0.36 falls between samples"):
-            sig.y(0.36)
-        with pytest.raises(ValueError, match="t=0.25 falls between samples"):
-            sig.y(np.array([0.1, 0.2, 0.25]))
+    # the times of test_input_writes_the_file_times: TimeGrid(0.3, 4) gives 0.09999999999999999, 0.19999999999999998
+    SAMPLE_TIMES, SAMPLE_VALUES = [0.0, 0.1, 0.2, 0.3], [0.0, 0.5, 0.7, 0.8]
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([0.1, np.nan])])
-    def test_signal_from_samples_names_non_finite_time(self, t):
-        sig = Signal.from_samples(np.linspace(0.0, 1.0, 11), np.zeros(11))
-        with pytest.raises(ValueError, match=r"t=(nan|inf) is not finite"):
-            sig.y(t)
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["own-times", "rebuilt-grid"])
+    def test_sampled_signal_reads_its_times(self, rebuilt):
+        values = np.array(self.SAMPLE_VALUES)
+        sig = Signal.from_samples(self.SAMPLE_TIMES, values)
+        assert sig.y_prime is None
+        times = TimeGrid(horizon=0.3, count=4).times() if rebuilt else np.array(self.SAMPLE_TIMES)
+        assert np.array_equal(times, self.SAMPLE_TIMES) is not rebuilt
+        out = sig.y(times)
+        assert out.tobytes() == values.tobytes()
+        # read-only, and a copy: the caller's array stays writable and does not reach the signal
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 1.0
+        values[1] = 9.0
+        assert sig.y(times)[1] == 0.5
+
+    @pytest.mark.parametrize(
+        "times,message",
+        [
+            (TimeGrid(horizon=3.0, count=4).times(), "t=1.0 is not sample time 2 (0.1)"),
+            ([0.0, 0.1, np.nan, 0.3], "t=nan is not sample time 3 (0.2)"),
+            ([0.0, 0.1, 0.25, 0.3], "t=0.25 is not sample time 3 (0.2)"),
+            (0.1, "a sampled signal reads only its 4 sample times, got shape ()"),
+            ([0.0, 0.1], "a sampled signal reads only its 4 sample times, got shape (2,)"),
+        ],
+        ids=["other-horizon", "nan", "between-samples", "point", "subset"],
+    )
+    def test_sampled_signal_refuses_other_times(self, times, message):
+        sig = Signal.from_samples(self.SAMPLE_TIMES, self.SAMPLE_VALUES)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sig.y(times)
 
     def test_signal_from_samples_rejects_non_finite(self):
         times = np.linspace(0.0, 1.0, 11)
@@ -98,7 +114,13 @@ class TestTypes:
 
     @pytest.mark.parametrize(
         "times,match",
-        [([0.0, 0.1, 0.5, 1.0], "not uniform"), ([0.0, 0.0, 0.0], "strictly increasing")],
+        [
+            ([0.0, 0.1, 0.5, 1.0], "not uniform"),
+            ([0.0, 0.0, 0.0], "strictly increasing"),
+            ([0.5, 1.0], "^sample grid must start at t=0$"),
+            # the uniformity check comes first, so a file refused before still prints the same message
+            ([0.5, 0.6, 1.0], "not uniform"),
+        ],
     )
     def test_signal_from_samples_rejects_bad_grid(self, times, match):
         with pytest.raises(ValueError, match=match):
@@ -579,6 +601,26 @@ class TestSampleFallback:
         signal = Signal(y=np.sqrt, y_prime=root_slope)
         with pytest.raises(ValueError, match=r"root_slope returned inf at t=0\.0$"):
             caputo_derivative(Method.CDR, "euler", 0.5, 10, TimeGrid(1.0, 101), signal)
+
+    # finite samples whose slope (1 / 1e-320) or whose difference (1e308 - -1e308) overflows
+    @pytest.mark.parametrize(
+        "times,values,methods,where",
+        [
+            ([0.0, 1e-320, 2e-320], [0.0, 1.0, 2.0], [Method.YA, Method.CDR], "1e-320"),
+            ([0.0, 0.5, 1.0], [0.0, 1e308, -1e308], list(Method), "0.5"),
+        ],
+        ids=["slope", "difference"],
+    )
+    @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
+    def test_overflowing_samples_raise(self, times, values, methods, where, solver):
+        # they used to warn (an error under this suite's filterwarnings) and return nan
+        signal = Signal.from_samples(times, values)
+        grid = TimeGrid(times[-1], 3)
+        for method in methods:
+            for fully_implicit in (False, True):
+                message = rf"^{method.value} {solver} derivative overflows to nan at t={where}$"
+                with pytest.raises(ValueError, match=message):
+                    caputo_derivative(method, solver, 0.5, 50, grid, signal, fully_implicit=fully_implicit)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_one_call_per_run(self, method):

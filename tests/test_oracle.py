@@ -125,6 +125,12 @@ class TestCaputoL1:
         with pytest.raises(ValueError, match=r"<lambda> returned nan at t=0\.5$"):
             caputo_l1(sig, 0.5, TimeGrid(horizon=1.0, count=11))
 
+    def test_overflowing_difference_raises(self):
+        # 1e308 - -1e308 overflows; it used to warn and return nan
+        sig = Signal.from_samples([0.0, 0.5, 1.0], [0.0, 1e308, -1e308])
+        with pytest.raises(ValueError, match=r"^L1 derivative overflows to nan at t=0\.5$"):
+            caputo_l1(sig, 0.5, TimeGrid(horizon=1.0, count=3))
+
     def test_constant_is_zero(self):
         grid = TimeGrid(horizon=1.0, count=101)
         sig = Signal(y=lambda t: np.full_like(np.asarray(t, float), 2.5))
