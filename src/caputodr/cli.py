@@ -55,10 +55,18 @@ def _parse_sweep(text: str):
     return values
 
 
+def _number(text: str) -> float:
+    """``text`` read as ``np.loadtxt`` reads a field: ``float`` alone also takes digit separators and non-ASCII digits."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def load_samples(path):
     """Read a two-column t,y CSV, naming any malformed row; ``Signal.from_samples`` checks the samples.
 
-    One ``np.loadtxt`` call parses the rows; a file it refuses is read again row by row.
+    One ``np.loadtxt`` call parses the rows.  A file it refuses is read again row by row, only to name
+    the row it refuses: the file is never accepted, and only an empty table reaches the sample checks.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -74,18 +82,16 @@ def load_samples(path):
         except (ValueError, UserWarning):
             pass
         fh.seek(start)
-        times, values = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                a, b = line.split(",")
-                t, y = float(a), float(b)
-            except ValueError as exc:
-                raise ValueError(f"sample row {len(times) + 1}: {exc}") from None
-            times.append(t)
-            values.append(y)
-    return np.array(times), np.array(values)
+        lines = [line for line in fh if line != "\n"]  # np.loadtxt skips empty lines, not blank ones
+    for row, line in enumerate(lines, 1):
+        try:
+            a, b = line.split(",")
+            _number(a), _number(b)
+        except ValueError as exc:
+            raise ValueError(f"sample row {row}: {exc}") from None
+    if lines:  # not reached while _number is no more lenient than np.loadtxt; refused if it ever is
+        raise ValueError("np.loadtxt refuses the sample file, though each row reads as two numbers")
+    return np.empty(0), np.empty(0)
 
 
 def _phase_check(h: float, order: int, alpha: float, methods) -> None:
@@ -148,9 +154,7 @@ def _write_meta(args, **extra) -> None:
 def cmd_deriv(args) -> None:
     label, signal, alpha, grid, t, exact_vals = _resolve_problem(args)
     method = Method(args.method)
-    approx = caputo_derivative(
-        method, args.solver, alpha, args.N, grid, signal, fully_implicit=args.fully_implicit
-    )
+    approx = caputo_derivative(method, args.solver, alpha, args.N, grid, signal)
     _phase_check(grid.step, args.N, alpha, (method,))
 
     csv_path = f"{args.out}_pointwise.csv"
@@ -181,9 +185,7 @@ def _sweep(args, methods):
     for method in methods:
         errors[method.value] = []
         for order in args.sweep:
-            approx = caputo_derivative(
-                method, args.solver, alpha, order, grid, signal, fully_implicit=args.fully_implicit
-            )
+            approx = caputo_derivative(method, args.solver, alpha, order, grid, signal)
             errors[method.value].append(max_error(approx, exact_vals))
     # z_max grows with the order: one warning, at the largest
     _phase_check(grid.step, max(args.sweep), alpha, methods)
@@ -247,7 +249,6 @@ def _add_run_flags(p, sweep: bool):
     p.add_argument("--case", default=None, help="built-in case name (default: cubic)")
     p.add_argument("--input", default=None, help="external t,y sample CSV (uniform grid)")
     p.add_argument("--out", required=True, help="output file prefix")
-    p.add_argument("--fully-implicit", action="store_true", dest="fully_implicit")
     if sweep:
         p.add_argument("--sweep", type=_parse_sweep, default=list(DEFAULT_SWEEP))
     else:

@@ -19,14 +19,11 @@ is the rule on one row.  For x1' = x2, x2' = -s x1 + g f' (s = rate^2, from
 
 where ``ahead`` is the old x2 for the semi-implicit Euler and, for the
 trapezoid, the x2 of an Euler co-state advanced alongside.
-``fully_implicit=True`` makes ``ahead`` the freshly updated x2 of the same
-scheme, which for the trapezoid recovers the classical A-stable rule.
 
 ``_scheme`` is the single definition of every update: for each (method,
-solver, fully_implicit) it returns one step, which drives both
-``advance_euler``/``advance_trapezoid`` and ``caputo_derivative``.  The
-trapezoid's Euler co-state is the Euler step composed in, not a third
-copy of its formulas.
+solver) it returns one step, which drives both ``advance_euler``/
+``advance_trapezoid`` and ``caputo_derivative``.  The trapezoid's Euler
+co-state is the Euler step composed in, not a third copy of its formulas.
 
 For a fixed step h every scheme is linear and time invariant: the state S
 (x1 for YA, (x1, x2) otherwise, plus the Euler co-state for the trapezoid)
@@ -222,7 +219,7 @@ def initial_state(method: Method, alpha, order: int, initial_slope: float = 0.0)
     return DiffusiveState(x1=x1, x2=x2)
 
 
-def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
+def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float):
     """Build the step of one scheme: the single definition of its update formulas.
 
     Both solvers are the theta-rule, theta = 1 for "euler" and 1/2 for
@@ -230,7 +227,7 @@ def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     ``step(x1, x2, f_prev, f_curr, companion)`` maps the states at step k-1
     to those at step k, given the forcing at t_{k-1} and t_k.  ``companion``
     is the Euler co-state's x2 at step k; only the trapezoid x1 row reads
-    it, and only when not fully implicit.  YA has no x2 row and passes x2
+    it, where Euler's reads the old x2.  YA has no x2 row and passes x2
     through.
     """
     theta = 1.0 if solver == "euler" else 0.5
@@ -257,7 +254,7 @@ def _scheme(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
 
     def step(x1, x2, f_prev, f_curr, companion):
         x2_new = (fac * x2 - sh * x1 + gain * (f_curr - f_prev)) * damp
-        ahead = x2_new if fully_implicit else (companion if theta < 1.0 else x2)
+        ahead = companion if theta < 1.0 else x2
         return x1 + th * (ahead + lag * x2), x2_new
 
     return step
@@ -279,14 +276,13 @@ def advance_euler(
     grid: TimeGrid,
     forcing_prev: float,
     forcing_curr: float,
-    fully_implicit: bool = False,
 ) -> DiffusiveState:
     """One backward-Euler step of the state system from step k-1 to k.
 
     ``forcing_prev``/``forcing_curr`` are y'(t_{k-1}), y'(t_k) for YA and
     CDR and y(t_{k-1}), y(t_k) for SDR and ISDR.
     """
-    step = _scheme(method, "euler", alpha, nodes, grid.step, fully_implicit)
+    step = _scheme(method, "euler", alpha, nodes, grid.step)
     return _advance(step, state, nodes, forcing_prev, forcing_curr, None)
 
 
@@ -299,10 +295,9 @@ def advance_trapezoid(
     grid: TimeGrid,
     forcing_prev: float,
     forcing_curr: float,
-    fully_implicit: bool = False,
 ) -> DiffusiveState:
     """One trapezoidal step; ``euler_state`` is the Euler co-state at step k."""
-    step = _scheme(method, "trapezoid", alpha, nodes, grid.step, fully_implicit)
+    step = _scheme(method, "trapezoid", alpha, nodes, grid.step)
     return _advance(step, state, nodes, forcing_prev, forcing_curr, euler_state.x2)
 
 
@@ -346,7 +341,7 @@ def _forcing_samples(method: Method, signal: Signal, times: np.ndarray, h: float
     return np.append(slope, slope[-1])
 
 
-def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, fully_implicit: bool):
+def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float):
     """Per-node (A, b0, b1) of the step ``caputo_derivative`` runs, read off ``_scheme``.
 
     The state S is x1 for YA, (x1, x2) for the other methods, and
@@ -356,25 +351,20 @@ def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     with A of shape (d, d, N) and b0, b1 of shape (d, N).  A step so long
     that a coefficient overflows raises ``ValueError``.
     """
-    if method is Method.YA:
-        d = 1
-    elif solver == "trapezoid" and not fully_implicit:
-        d = 4
-    else:
-        d = 2
+    d = 1 if method is Method.YA else 4 if solver == "trapezoid" else 2
     probe = np.eye(d + 2)
     x = [np.repeat(probe[:, r : r + 1], len(nodes), axis=1) for r in range(d)]
     f_prev, f_curr = probe[:, d : d + 1], probe[:, d + 1 :]
     # an overflow can also leave the coefficients finite: 1 / (1 + inf) is 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            step = _scheme(method, solver, alpha, nodes, h, fully_implicit)
+            step = _scheme(method, solver, alpha, nodes, h)
             if d == 1:
                 image = [step(x[0], None, f_prev, f_curr, None)[0]]
             elif d == 2:
                 image = step(x[0], x[1], f_prev, f_curr, None)
             else:
-                e1, e2 = _scheme(method, "euler", alpha, nodes, h, False)(x[2], x[3], f_prev, f_curr, None)
+                e1, e2 = _scheme(method, "euler", alpha, nodes, h)(x[2], x[3], f_prev, f_curr, None)
                 image = [*step(x[0], x[1], f_prev, f_curr, e2), e1, e2]
     except FloatingPointError:
         raise ValueError(
@@ -384,7 +374,7 @@ def _system(method: Method, solver: str, alpha, nodes: np.ndarray, h: float, ful
     return image[:, :d], image[:, d], image[:, d + 1]
 
 
-def _plan(method: Method, solver: str, alpha: float, order: int, h: float, fully_implicit: bool):
+def _plan(method: Method, solver: str, alpha: float, order: int, h: float):
     """Tables of one scheme, rule and step: (taps, A^B, reach, toeplitz, readout).
 
     taps are the ufuncs forming each drive column from adjacent forcing
@@ -394,7 +384,7 @@ def _plan(method: Method, solver: str, alpha: float, order: int, h: float, fully
     """
     rule = _cached_rule(order, method.weight_exponent(alpha))
     ws = rule.scaled_weights
-    A, b0, b1 = _system(method, solver, alpha, rule.nodes, h, fully_implicit)
+    A, b0, b1 = _system(method, solver, alpha, rule.nodes, h)
     d, B = len(A), _BLOCK
     # drive each step by the difference and the sum of its two forcing
     # samples: the raw (f_{k-1}, f_k) taps nearly cancel and lose digits
@@ -431,15 +421,7 @@ def _plan(method: Method, solver: str, alpha: float, order: int, h: float, fully
 _cached_plan = functools.lru_cache(maxsize=2)(_plan)
 
 
-def caputo_derivative(
-    method: Method,
-    solver: str,
-    alpha,
-    order: int,
-    grid: TimeGrid,
-    signal: Signal,
-    fully_implicit: bool = False,
-) -> np.ndarray:
+def caputo_derivative(method: Method, solver: str, alpha, order: int, grid: TimeGrid, signal: Signal) -> np.ndarray:
     """Approximate the Caputo derivative of ``signal`` on every grid point.
 
     Builds the Gauss-Laguerre rule for the method's weight exponent, steps
@@ -453,7 +435,7 @@ def caputo_derivative(
         raise ValueError(f"solver must be 'euler' or 'trapezoid', got {solver!r}")
     a = _alpha_value(alpha)
     n, h = grid.count, grid.step
-    taps, power, reach, toeplitz, readout = _cached_plan(method, solver, a, order, h, fully_implicit)
+    taps, power, reach, toeplitz, readout = _cached_plan(method, solver, a, order, h)
     d, q, B = reach.shape[1], len(taps), _BLOCK
     times = grid.times()
     f = _forcing_samples(method, signal, times, h)

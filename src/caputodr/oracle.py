@@ -5,6 +5,7 @@ integral.  It shares no machinery with the diffusive stepping, which is what
 makes it a trustworthy cross-check; its global accuracy is O(h^(2-alpha)).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,8 +26,8 @@ __all__ = [
 
 def exact_power(p: float, alpha, t):
     """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha); raises where a finite t overflows it."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p!r}")
+    if not 0.0 < p < math.inf:  # written so that nan fails it
+        raise ValueError(f"p must be positive and finite, got p={float(p)!r}")
     a = _alpha_value(alpha)
     ratio = specfun.gamma(p + 1.0) / specfun.gamma(p + 1.0 - a)
     times = specfun._nonnegative("t", t)
@@ -51,8 +52,8 @@ def exact_sin(alpha, t):
 def exact_bessel(nu: float, alpha, t):
     """Caputo derivative of t^(nu/2) J_nu(2 sqrt(t)): t^((nu-a)/2) J_(nu-a)(2 sqrt(t))."""
     a = _alpha_value(alpha)
-    if nu - a <= -1.0:
-        raise ValueError(f"need nu - alpha > -1, got nu={nu:g}, alpha={a:g}")
+    if not -1.0 < nu - a < math.inf:  # written so that nan fails it
+        raise ValueError(f"need nu finite and nu - alpha > -1, got nu={float(nu)!r}, alpha={a:g}")
     return specfun._shaped(_bessel_profile(nu - a, specfun._nonnegative("t", t)), t)
 
 

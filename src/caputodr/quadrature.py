@@ -108,7 +108,8 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
     Exact (up to rounding) on polynomials of degree <= 2N-1.  Scaled weights
     w_i * exp(z_i) are exponentiated once from
     log W_i = log Gamma(gamma+1) + z_i - log sum_k q_k(z_i)^2, never forming
-    exp(z_i) on its own.  Raises ValueError above order 1000, and
+    exp(z_i) on its own.  Raises ValueError above order 1000 and where a
+    value overflows (the scaled weights do from gamma ~150 at order 5), and
     RuntimeError when the weights miss Gamma(gamma+1) by more than 1e-12
     relative (seen for some gamma past order 1000).
     """
@@ -117,13 +118,20 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
             f"order {order} exceeds {_MAX_ORDER}: higher orders are not kept to "
             f"the {_MASS_TOL:g} weight-sum tolerance"
         )
-    diag, offdiag = jacobi_matrix(order, gamma)
-    matrix = np.diag(diag)
-    np.fill_diagonal(matrix[1:], offdiag)  # lower triangle, as eigvalsh reads it
-    guess = np.linalg.eigvalsh(matrix)
-    step, log_sum, dlog_sum = _recurrence(guess, diag, offdiag)
-    nodes = guess - step
-    log_sum -= step * dlog_sum  # log T at the nodes, to first order in the step
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            diag, offdiag = jacobi_matrix(order, gamma)
+            matrix = np.diag(diag)
+            np.fill_diagonal(matrix[1:], offdiag)  # lower triangle, as eigvalsh reads it
+            guess = np.linalg.eigvalsh(matrix)
+            step, log_sum, dlog_sum = _recurrence(guess, diag, offdiag)
+            nodes = guess - step
+            log_sum -= step * dlog_sum  # log T at the nodes, to first order in the step
+            log_w = math.lgamma(gamma + 1.0) - log_sum
+            weights = np.exp(log_w)
+            scaled = np.exp(log_w + nodes)
+    except FloatingPointError:
+        raise ValueError(f"the order-{order} rule for gamma={gamma:g} overflows double precision") from None
     if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
         raise RuntimeError("computed nodes are not strictly increasing and positive")
     mass_error = math.fsum(np.exp(-log_sum).tolist()) - 1.0
@@ -132,9 +140,6 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
             f"weights of the order-{order} rule sum to Gamma(gamma+1) only to "
             f"{mass_error:.3g} relative (tolerance {_MASS_TOL:g})"
         )
-    log_w = math.lgamma(gamma + 1.0) - log_sum
-    weights = np.exp(log_w)
-    scaled = np.exp(log_w + nodes)
     for arr in (nodes, weights, scaled):
         arr.flags.writeable = False
     return QuadratureRule(

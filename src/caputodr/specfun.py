@@ -69,8 +69,8 @@ def bessel_j(nu: float, x):
     x = 0 it gives 1, 0 or +inf as nu is 0, above 0 or below 0.  Each
     element's series is summed until a term drops below 1e-16 of its sum.
     """
-    if nu <= -1.0:
-        raise ValueError(f"bessel_j requires nu > -1, got nu={nu:g}")
+    if not -1.0 < nu < math.inf:  # written so that nan fails it
+        raise ValueError(f"bessel_j requires a finite nu > -1, got nu={float(nu)!r}")
     xs = _nonnegative("x", x, _MAX_ARG)
     out = np.full(xs.shape, 1.0 if nu == 0.0 else math.inf if nu < 0.0 else 0.0)
     nonzero = xs != 0.0

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -126,6 +127,14 @@ class TestNodesCommand:
         # eigvalsh used to fail on it with a misleading "Eigenvalues did not converge"
         assert main(["nodes", "--N", "3", "--gamma", gamma, "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == f"error: gamma must exceed -1 and be finite, got {gamma}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("order,gamma", [("5", "200"), ("10", "1e300"), ("10", "1e308")])
+    def test_overflowing_rule_exits_nonzero(self, tmp_path, capsys, order, gamma):
+        # the first wrote inf in every weight cell and exited 0; the others printed numpy warnings first
+        assert main(["nodes", "--N", order, "--gamma", gamma, "--out", str(tmp_path / "r")]) == 1
+        message = f"error: the order-{order} rule for gamma={float(gamma):g} overflows double precision\n"
+        assert capsys.readouterr() == ("", message)
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_value_in_exponent_form(self, tmp_path):
@@ -358,15 +367,6 @@ class TestDerivCommand:
         info = diffusive._cached_rule.cache_info()
         assert (info.misses, info.hits) == (15, 9)
 
-    def test_fully_implicit_flag_changes_output(self, tmp_path):
-        base, variant = tmp_path / "base", tmp_path / "fi"
-        args = ["deriv", "--case", "cubic", "--method", "CDR", "--N", "15", "--n", "101"]
-        run_cli(args + ["--out", str(base)])
-        run_cli(args + ["--fully-implicit", "--out", str(variant)])
-        a = (tmp_path / "base_pointwise.csv").read_bytes()
-        b = (tmp_path / "fi_pointwise.csv").read_bytes()
-        assert a != b
-
     def test_power16_figure_config(self, tmp_path):
         # t^1.6 setup: N=50, n=1e4 pointwise table; relative error shrinks
         # away from the origin
@@ -538,18 +538,38 @@ class TestSampleParsing:
         assert np.array_equal(times, t) and np.array_equal(values, y)
         assert times.flags.c_contiguous and values.flags.c_contiguous
 
-    @pytest.mark.parametrize(
-        "body,want",
-        [
-            ("", ([], [])),  # the fast parse warns on an empty table
-            ("0.0,1_0\n", ([0.0], [10.0])),  # float() reads digit separators, loadtxt does not
-            ("0.0,1\n  \n0.5, 2 \n", ([0.0, 0.5], [1.0, 2.0])),  # a whitespace-only line
-        ],
-    )
+    @pytest.mark.parametrize("body,want", [("", ([], []))])  # the fast parse warns on an empty table
     def test_row_scan_reads_what_the_fast_parse_refuses(self, tmp_path, body, want):
         f = tmp_path / "s.csv"
         f.write_text("t,y\n" + body)
         assert [a.tolist() for a in load_samples(f)] == list(map(list, want))
+
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("0.5,1_0", "could not convert string to float: '1_0\\n'"),  # float() reads digit separators
+            ("0.5,\u0661", "could not convert string to float: '\u0661\\n'"),  # and non-ASCII digits
+            ("  ", "not enough values to unpack (expected 2, got 1)"),  # a whitespace-only line
+        ],
+        ids=["separator", "arabic-indic", "blank"],
+    )
+    def test_row_scan_refuses_what_the_fast_parse_refuses(self, tmp_path, capsys, row, reason):
+        # each file was read (the first as y = 10, the second as y = 1) and the run exited 0
+        f = tmp_path / "s.csv"
+        f.write_text(f"t,y\n0,0\n{row}\n1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^sample row 2: {re.escape(reason)}$"):
+            load_samples(f)
+        assert main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", f"error: sample row 2: {reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+    def test_row_scan_never_accepts_a_refused_file(self, tmp_path, monkeypatch):
+        # should the field read grow as lenient as float(), the file is still refused
+        monkeypatch.setattr(cli, "_number", float)
+        f = tmp_path / "s.csv"
+        f.write_text("t,y\n0,0\n0.5,1_0\n1,2\n")
+        with pytest.raises(ValueError, match="^np.loadtxt refuses the sample file, though each row reads as two numbers$"):
+            load_samples(f)
 
 
 class TestConvergenceCommand:

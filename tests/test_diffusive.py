@@ -395,47 +395,53 @@ class TestCaputoDerivative:
         exact = exact_power(3.0, 0.6, self.GRID.times())
         assert max_error(out, exact) <= 2e-2
 
-    def test_fully_implicit_variant_close_to_default(self):
-        cubic = Signal(y=lambda t: t**3, y_prime=lambda t: 3 * t**2)
-        base = caputo_derivative(Method.CDR, "euler", 0.6, 30, self.GRID, cubic)
-        variant = caputo_derivative(Method.CDR, "euler", 0.6, 30, self.GRID, cubic, fully_implicit=True)
-        assert 0 < np.max(np.abs(base - variant)) <= 5.0 * self.GRID.step
-
     def test_solver_validation(self):
         with pytest.raises(ValueError):
             caputo_derivative(Method.CDR, "rk4", 0.5, 10, self.GRID, QUADRATIC)
 
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", [Method.CDR, Method.SDR, Method.ISDR])
-    def test_overflowing_step_is_refused(self, method, solver, fully_implicit):
+    def test_overflowing_step_is_refused(self, method, solver, sampled):
         # s h^2 overflows; the plan build warned and failed with "need at least one array to stack"
         grid = TimeGrid(horizon=1e160, count=11)
+        times = grid.times()
+        signal = Signal.from_samples(times, times / 1e160) if sampled else Signal(y=lambda t: t / 1e160)
         message = f"{method.value} {solver} step coefficients overflow at N=10, h=1e+159; shorten the step"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            caputo_derivative(method, solver, 0.5, 10, grid, Signal(y=lambda t: t / 1e160), fully_implicit)
+            caputo_derivative(method, solver, 0.5, 10, grid, signal)
 
 
-def _assert_matches_advance_ops(method, solver, fully_implicit, steps):
-    """caputo_derivative equals W . x1 stepped through the public advance ops."""
+def _assert_matches_advance_ops(method, solver, sampled, steps):
+    """caputo_derivative equals W . x1 stepped through the public advance ops.
+
+    With ``sampled`` the sine reaches caputo_derivative as samples of y, so
+    YA and CDR read its forward differences, the last repeated, as y'.
+    """
     # sine has y'(0) = 1, so CDR starts from a nonzero x2
     case = builtin_cases()["sine"]
     alpha, order = case.alpha, 12
     grid = TimeGrid(horizon=case.horizon, count=steps + 1)
     times = grid.times()
-    fv = case.signal.y_prime(times) if method.forcing == "derivative" else case.signal.y(times)
+    signal = Signal.from_samples(times, case.signal.y(times)) if sampled else case.signal
+    if sampled:
+        slope = np.diff(signal.y(times)) / grid.step
+        derivative = np.append(slope, slope[-1])
+    else:
+        derivative = signal.y_prime(times)
+    fv = derivative if method.forcing == "derivative" else signal.y(times)
     rule = gauss_laguerre(order, method.weight_exponent(alpha))
-    state = euler = initial_state(method, alpha, order, initial_slope=case.signal.y_prime(0.0))
+    state = euler = initial_state(method, alpha, order, initial_slope=derivative[0])
     ref = np.zeros(grid.count)
     for k in range(1, grid.count):
         args = (rule.nodes, grid, fv[k - 1], fv[k])
         if solver == "euler":
-            state = advance_euler(method, alpha, state, *args, fully_implicit=fully_implicit)
+            state = advance_euler(method, alpha, state, *args)
         else:
             euler = advance_euler(method, alpha, euler, *args)
-            state = advance_trapezoid(method, alpha, state, euler, *args, fully_implicit=fully_implicit)
+            state = advance_trapezoid(method, alpha, state, euler, *args)
         ref[k] = rule.scaled_weights @ state.x1
-    out = caputo_derivative(method, solver, alpha, order, grid, case.signal, fully_implicit=fully_implicit)
+    out = caputo_derivative(method, solver, alpha, order, grid, signal)
     assert out[0] == 0.0
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -443,11 +449,32 @@ def _assert_matches_advance_ops(method, solver, fully_implicit, steps):
 class TestSchemeEquivalence:
     """caputo_derivative against the public advance ops on a 400-point grid."""
 
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_matches_advance_ops(self, method, solver, fully_implicit):
-        _assert_matches_advance_ops(method, solver, fully_implicit, 399)
+    def test_matches_advance_ops(self, method, solver, sampled):
+        _assert_matches_advance_ops(method, solver, sampled, 399)
+
+
+def _step_matrix(method, solver, alpha, z, h, public):
+    """A of one step: ``_system``'s or, with ``public``, probed through the public advance ops."""
+    if not public:
+        return diffusive._system(method, solver, alpha, z, h)[0]
+    grid = TimeGrid(horizon=h, count=2)
+    d = 1 if method is Method.YA else 4 if solver == "trapezoid" else 2
+    columns = []
+    for r in range(d):
+        unit = np.zeros((4, len(z)))
+        unit[r] = 1.0
+        state, euler = diffusive.DiffusiveState(*unit[:2]), diffusive.DiffusiveState(*unit[2:])
+        args = (z, grid, 0.0, 0.0)
+        if solver == "euler":
+            state = advance_euler(method, alpha, state, *args)
+        else:
+            euler = advance_euler(method, alpha, euler, *args)
+            state = advance_trapezoid(method, alpha, state, euler, *args)
+        columns.append(np.stack([state.x1, state.x2, euler.x1, euler.x2][:d]))
+    return np.stack(columns, axis=1)
 
 
 class TestSchemeProperties:
@@ -455,33 +482,29 @@ class TestSchemeProperties:
 
     theta = 1 (Euler) or 1/2 (trapezoid); s = z^2, or z^4 for ISDR.  YA's
     scalar step is (1 - (1-theta) h z^2) / (1 + theta h z^2).  Every
-    second-order step is area-preserving except the fully implicit Euler,
-    whose det is 1 / (1 + s h^2).
+    second-order step is area-preserving.
     """
 
     @pytest.mark.parametrize("h", [1e-4, 1e-2])
     @pytest.mark.parametrize("order", [10, 160])
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("public", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_determinant(self, method, solver, fully_implicit, order, h):
+    def test_determinant(self, method, solver, public, order, h):
         alpha = 0.4
         z = gauss_laguerre(order, method.weight_exponent(alpha)).nodes
-        A, _, _ = diffusive._system(method, solver, alpha, z, h, fully_implicit)
+        A = _step_matrix(method, solver, alpha, z, h, public)
         det = np.linalg.det(np.moveaxis(A, -1, 0))
         theta = 1.0 if solver == "euler" else 0.5
-        s = z**4 if method is Method.ISDR else z**2
         if method is Method.YA:
             want = (1.0 - (1.0 - theta) * h * z**2) / (1.0 + theta * h * z**2)
-        elif fully_implicit and solver == "euler":
-            want = 1.0 / (1.0 + s * h * h)
         else:
             want = np.ones(order)
         assert np.max(np.abs(det - want)) <= 1e-12
 
 
 class TestRate:
-    """Method.rate against the eigenvalues of the step caputo_derivative runs.
+    """Method.rate against the eigenvalues of the step caputo_derivative runs, and the public ops'.
 
     At each node with x = rate(z) h <= 0.05, YA's step scales its state by
     ~exp(-x) and the other methods' steps turn theirs by ~x.  Measured
@@ -491,16 +514,16 @@ class TestRate:
     pair, whose x1 row reads the co-state's x2, at ~x / sqrt(2).
     """
 
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("public", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_eigenvalues_follow_rate(self, method, solver, fully_implicit):
+    def test_eigenvalues_follow_rate(self, method, solver, public):
         alpha, h = 0.6, 1e-3
         z = gauss_laguerre(20, method.weight_exponent(alpha)).nodes
         z = z[method.rate(z) * h <= 0.05]
         assert len(z) >= 4
         x = method.rate(z) * h
-        A, _, _ = diffusive._system(method, solver, alpha, z, h, fully_implicit)
+        A = _step_matrix(method, solver, alpha, z, h, public)
         eig = np.linalg.eigvals(np.moveaxis(A, -1, 0))
         if method is Method.YA:
             assert np.all(np.abs(-np.log(np.abs(eig[:, 0])) / x - 1.0) <= 0.55 * x)
@@ -518,11 +541,11 @@ class TestBlockBoundaries:
 
     # 2B+1 .. 16B+1 give 3, 5, 9 and 17 blocks: one past each doubling span
     @pytest.mark.parametrize("steps", [1, B - 1, B, B + 1, 2 * B + 1, 3 * B + 5, 4 * B + 1, 8 * B + 1, 16 * B + 1])
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_matches_advance_ops(self, method, solver, fully_implicit, steps):
-        _assert_matches_advance_ops(method, solver, fully_implicit, steps)
+    def test_matches_advance_ops(self, method, solver, sampled, steps):
+        _assert_matches_advance_ops(method, solver, sampled, steps)
 
 
 class TestChunks:
@@ -531,12 +554,12 @@ class TestChunks:
     B = diffusive._BLOCK
 
     @pytest.mark.parametrize("steps", [4 * B, 4 * B + 1, 9 * B + 3])
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_matches_advance_ops(self, method, solver, fully_implicit, steps, monkeypatch):
+    def test_matches_advance_ops(self, method, solver, sampled, steps, monkeypatch):
         monkeypatch.setattr(diffusive, "_CHUNK", 4)
-        _assert_matches_advance_ops(method, solver, fully_implicit, steps)
+        _assert_matches_advance_ops(method, solver, sampled, steps)
 
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", [Method.YA, Method.CDR])
@@ -545,12 +568,13 @@ class TestChunks:
         monkeypatch.setattr(diffusive, "_ONE_THREAD", 1)
         _assert_matches_advance_ops(method, solver, False, 9 * self.B + 3)
 
-    @pytest.mark.parametrize("fully_implicit", [False, True])
+    @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("solver", ["euler", "trapezoid"])
     @pytest.mark.parametrize("method", list(Method))
-    def test_output_product_tables_are_c_ordered(self, method, solver, fully_implicit):
-        # OpenBLAS keeps a product of _ONE_THREAD size on one thread only with its right operand in C order
-        _, _, _, toeplitz, readout = diffusive._plan(method, solver, 0.6, 20, 1e-3, fully_implicit)
+    def test_output_product_tables_are_c_ordered(self, method, solver, wide):
+        # OpenBLAS keeps a product of _ONE_THREAD size on one thread only with its right operand in C order;
+        # a wide rule has more state rows (N*d) than a block has steps
+        _, _, _, toeplitz, readout = diffusive._plan(method, solver, 0.6, 160 if wide else 20, 1e-3)
         assert toeplitz.flags.c_contiguous and readout.flags.c_contiguous
 
 
@@ -617,10 +641,9 @@ class TestSampleFallback:
         signal = Signal.from_samples(times, values)
         grid = TimeGrid(times[-1], 3)
         for method in methods:
-            for fully_implicit in (False, True):
-                message = rf"^{method.value} {solver} derivative overflows to nan at t={where}$"
-                with pytest.raises(ValueError, match=message):
-                    caputo_derivative(method, solver, 0.5, 50, grid, signal, fully_implicit=fully_implicit)
+            message = rf"^{method.value} {solver} derivative overflows to nan at t={where}$"
+            with pytest.raises(ValueError, match=message):
+                caputo_derivative(method, solver, 0.5, 50, grid, signal)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_one_call_per_run(self, method):

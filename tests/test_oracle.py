@@ -34,6 +34,12 @@ class TestExactPower:
         with pytest.raises(ValueError):
             exact_power(-1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_order_is_refused(self, p):
+        # both returned nan
+        with pytest.raises(ValueError, match=f"^p must be positive and finite, got p={p!r}$"):
+            exact_power(p, 0.5, 1.0)
+
     def test_overflow_is_refused(self):
         # it returned inf with a RuntimeWarning
         with pytest.raises(ValueError, match=r"^exact_power\(3, 0\.6\) overflows at t=1e\+160$"):
@@ -91,6 +97,12 @@ class TestExactBessel:
     def test_array_with_negative_entry(self):
         with pytest.raises(ValueError, match="-1"):
             exact_bessel(3.0, 0.5, np.array([0.5, -1.0]))
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_order_is_refused(self, nu):
+        # nan returned nan, inf returned 0.0
+        with pytest.raises(ValueError, match=f"^need nu finite and nu - alpha > -1, got nu={nu!r}, alpha=0.5$"):
+            exact_bessel(nu, 0.5, 1.0)
 
 
 EXACT = [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -179,6 +180,18 @@ class TestGaussLaguerre:
         with pytest.raises(RuntimeError, match=r"^weights of the order-300 rule sum to Gamma\(gamma\+1\) only to "
                            r"\S+ relative \(tolerance 0\)$"):
             quadrature.gauss_laguerre(300, -0.37)
+
+    @pytest.mark.parametrize("order,gamma", [(5, 150.0), (5, 170.0), (5, 200.0), (10, 1e300), (10, 1e308)])
+    def test_overflow_is_refused(self, order, gamma):
+        # the first three wrote inf weights with a RuntimeWarning; the last two warned, then refused in
+        # the node check or in eigvalsh ("Eigenvalues did not converge")
+        message = f"the order-{order} rule for gamma={gamma:g} overflows double precision"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quadrature.gauss_laguerre(order, gamma)
+
+    def test_largest_weights_below_overflow_are_built(self):
+        rule = quadrature.gauss_laguerre(5, 100.0)
+        assert np.all(np.isfinite(rule.scaled_weights)) and rule.scaled_weights.max() > 1e200
 
 
 class TestIntegrate:

@@ -92,6 +92,12 @@ class TestBesselJ:
         with pytest.raises(ValueError, match="^x must be non-negative, got x=nan$"):
             specfun.bessel_j(3.0, np.nan)
 
+    @pytest.mark.parametrize("nu,x", [(math.nan, 1.0), (math.nan, 0.0), (math.inf, 1.0)])
+    def test_non_finite_order_is_refused(self, nu, x):
+        # they returned nan, 0.0 and 0.0
+        with pytest.raises(ValueError, match=f"^bessel_j requires a finite nu > -1, got nu={nu!r}$"):
+            specfun.bessel_j(nu, x)
+
     def test_non_convergence_names_nu_and_x(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="nu=3, x=4"):
