@@ -17,7 +17,7 @@ _HOME = {
     **dict.fromkeys(
         ("TestCase", "builtin_cases", "caputo_l1", "exact_bessel", "exact_power", "exact_sin"), "oracle"
     ),
-    **dict.fromkeys(("QuadratureRule", "gauss_laguerre", "jacobi_matrix"), "quadrature"),
+    **dict.fromkeys(("QuadratureRule", "gauss_laguerre"), "quadrature"),
 }
 
 __all__ = sorted(_HOME) + ["__version__"]

@@ -114,22 +114,22 @@ def _phase_check(h: float, order: int, alpha: float, methods) -> None:
         )
 
 
-def _resolve_problem(args):
-    """Turn --case/--input flags into (label, signal, alpha, grid, times, exact values or None).
+def _input_problem(args):
+    """--input's (label, signal, alpha, grid, times, None): the file's times, on the grid they were checked against."""
+    if args.case is not None:
+        raise ValueError("--case and --input are mutually exclusive")
+    if args.alpha is None:
+        raise ValueError("--input mode requires --alpha")
+    if args.n is not None or args.T is not None:
+        raise ValueError("--n and --T do not apply to --input: the file sets the grid")
+    times, values = load_samples(args.input)
+    signal = Signal.from_samples(times, values)
+    grid = TimeGrid(horizon=float(times[-1]), count=len(times))
+    return args.input, signal, args.alpha, grid, times, None
 
-    The times are the file's own with --input; the stepping runs on the uniform grid they were checked against.
-    """
-    if args.input is not None:
-        if args.case is not None:
-            raise ValueError("--case and --input are mutually exclusive")
-        if args.alpha is None:
-            raise ValueError("--input mode requires --alpha")
-        if args.n is not None or args.T is not None:
-            raise ValueError("--n and --T do not apply to --input: the file sets the grid")
-        times, values = load_samples(args.input)
-        signal = Signal.from_samples(times, values)
-        grid = TimeGrid(horizon=float(times[-1]), count=len(times))
-        return args.input, signal, args.alpha, grid, times, None
+
+def _case_problem(args):
+    """--case's (label, signal, alpha, grid, times, exact values)."""
     cases = builtin_cases()
     name = args.case if args.case is not None else "cubic"
     if name not in cases:
@@ -152,7 +152,7 @@ def _write_meta(args, **extra) -> None:
 
 
 def cmd_deriv(args) -> None:
-    label, signal, alpha, grid, t, exact_vals = _resolve_problem(args)
+    label, signal, alpha, grid, t, exact_vals = (_case_problem if args.input is None else _input_problem)(args)
     method = Method(args.method)
     approx = caputo_derivative(method, args.solver, alpha, args.N, grid, signal)
     _phase_check(grid.step, args.N, alpha, (method,))
@@ -178,9 +178,7 @@ def _sweep(args, methods):
     """
     if len(args.sweep) < 4:
         raise ValueError(f"{args.command} needs a sweep of at least 4 orders")
-    label, signal, alpha, grid, _, exact_vals = _resolve_problem(args)
-    if exact_vals is None:
-        raise ValueError(f"{args.command} requires a built-in case (an exact reference)")
+    label, signal, alpha, grid, _, exact_vals = _case_problem(args)
     errors = {}
     for method in methods:
         errors[method.value] = []
@@ -247,11 +245,11 @@ def _add_run_flags(p, sweep: bool):
     p.add_argument("--n", type=int, default=None, help="number of time grid points (default 10000)")
     p.add_argument("--T", type=float, default=None, help="time horizon (case default)")
     p.add_argument("--case", default=None, help="built-in case name (default: cubic)")
-    p.add_argument("--input", default=None, help="external t,y sample CSV (uniform grid)")
     p.add_argument("--out", required=True, help="output file prefix")
     if sweep:
         p.add_argument("--sweep", type=_parse_sweep, default=list(DEFAULT_SWEEP))
     else:
+        p.add_argument("--input", default=None, help="external t,y sample CSV (uniform grid)")
         p.add_argument("--N", type=int, default=50, help="quadrature order")
 
 

@@ -29,7 +29,12 @@ def exact_power(p: float, alpha, t):
     if not 0.0 < p < math.inf:  # written so that nan fails it
         raise ValueError(f"p must be positive and finite, got p={float(p)!r}")
     a = _alpha_value(alpha)
-    ratio = specfun.gamma(p + 1.0) / specfun.gamma(p + 1.0 - a)
+    try:
+        ratio = specfun.gamma(p + 1.0) / specfun.gamma(p + 1.0 - a)
+    except OverflowError:  # p > 170.6: the log of the ratio from Stirling's series, with no large term cancelling
+        x, y = p + 1.0, p + 1.0 - a
+        tail = lambda z: (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z  # log Gamma(z) past its leading Stirling terms
+        ratio = math.exp(a * math.log(x) - (y - 0.5) * math.log1p(-a / x) - a + tail(x) - tail(y))
     times = specfun._nonnegative("t", t)
     with np.errstate(over="ignore"):  # checked below
         out = ratio * times ** (p - a)
@@ -41,7 +46,11 @@ def exact_power(p: float, alpha, t):
 
 def _bessel_profile(mu: float, t):
     """t^(mu/2) J_mu(2 sqrt(t)): the Bessel case's y (mu = nu), y' (nu - 1) and Caputo derivative (nu - alpha)."""
-    return t ** (0.5 * mu) * specfun.bessel_j(mu, 2.0 * np.sqrt(t))
+    j = specfun.bessel_j(mu, 2.0 * np.sqrt(t))
+    lost = (np.abs(j) < 1e-280) & (t > 1.0)  # J's digits lost to underflow (mu past ~250), which t^(mu/2) magnifies
+    if np.any(lost):
+        raise ValueError(f"J_{mu:g}(2 sqrt(t)) underflows at t={np.asarray(t)[lost].flat[0]:g}")
+    return t ** (0.5 * mu) * j
 
 
 def exact_sin(alpha, t):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "jacobi_matrix", "gauss_laguerre"]
+__all__ = ["QuadratureRule", "gauss_laguerre"]
 
 # Orders kept to _MASS_TOL: of 39 gamma in [-0.95, 0.95] none fails at 1000, one at 1100.
 _MAX_ORDER = 1000
@@ -49,23 +49,6 @@ def _integer(name: str, value) -> int:
     except TypeError:
         shown = value.item() if isinstance(value, np.generic) else value  # numpy 2 reprs np.float64(2.5)
         raise ValueError(f"{name} must be an integer, got {name}={shown!r}") from None
-
-
-def jacobi_matrix(order: int, gamma: float):
-    """Diagonal and off-diagonal of the Jacobi matrix for z^gamma exp(-z).
-
-    diag[k] = 2k + gamma + 1, offdiag[k] = sqrt(k (k + gamma)).
-    """
-    order = _integer("order", order)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if not -1.0 < gamma < math.inf:  # written so that nan fails it
-        raise ValueError(f"gamma must exceed -1 and be finite, got {gamma:g}")
-    k = np.arange(order, dtype=float)
-    diag = 2.0 * k + gamma + 1.0
-    j = np.arange(1, order, dtype=float)
-    offdiag = np.sqrt(j * (j + gamma))
-    return diag, offdiag
 
 
 def _recurrence(z, diag, offdiag):
@@ -108,19 +91,27 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
     Exact (up to rounding) on polynomials of degree <= 2N-1.  Scaled weights
     w_i * exp(z_i) are exponentiated once from
     log W_i = log Gamma(gamma+1) + z_i - log sum_k q_k(z_i)^2, never forming
-    exp(z_i) on its own.  Raises ValueError above order 1000 and where a
+    exp(z_i) on its own.  Raises ValueError for an order that is not an
+    integer in [1, 1000], a gamma that is not finite and above -1, and where a
     value overflows (the scaled weights do from gamma ~150 at order 5), and
     RuntimeError when the weights miss Gamma(gamma+1) by more than 1e-12
     relative (seen for some gamma past order 1000).
     """
-    if _integer("order", order) > _MAX_ORDER:
+    order = _integer("order", order)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order > _MAX_ORDER:
         raise ValueError(
             f"order {order} exceeds {_MAX_ORDER}: higher orders are not kept to "
             f"the {_MASS_TOL:g} weight-sum tolerance"
         )
+    if not -1.0 < gamma < math.inf:  # written so that nan fails it
+        raise ValueError(f"gamma must exceed -1 and be finite, got {gamma:g}")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            diag, offdiag = jacobi_matrix(order, gamma)
+            k = np.arange(order, dtype=float)  # the Jacobi matrix of z^gamma exp(-z)
+            diag = 2.0 * k + gamma + 1.0
+            offdiag = np.sqrt(k[1:] * (k[1:] + gamma))
             matrix = np.diag(diag)
             np.fill_diagonal(matrix[1:], offdiag)  # lower triangle, as eigvalsh reads it
             guess = np.linalg.eigvalsh(matrix)
@@ -144,7 +135,7 @@ def gauss_laguerre(order: int, gamma: float) -> QuadratureRule:
         arr.flags.writeable = False
     return QuadratureRule(
         gamma=float(gamma),
-        order=int(order),
+        order=order,
         nodes=nodes,
         weights=weights,
         scaled_weights=scaled,

@@ -67,7 +67,7 @@ def _ols(x: np.ndarray, y: np.ndarray):
 
 
 def fit_loglog(orders, errors) -> SlopeFit:
-    """Fit log E_inf ~ slope * log N + c over a sweep.
+    """Fit log E_inf ~ slope * log N + c over a sweep of strictly increasing orders.
 
     When the smallest-N point sits more than twice the fit's residual
     standard error off the line (a pre-asymptotic transient), it is dropped
@@ -81,6 +81,8 @@ def fit_loglog(orders, errors) -> SlopeFit:
     both = np.concatenate([orders, errors])
     if not np.all((0.0 < both) & (both < np.inf)):  # written so that nan fails it
         raise ValueError("orders and errors must be positive and finite for a log-log fit")
+    if np.any(np.diff(orders) <= 0.0):  # the smallest-N exclusion drops orders[0]
+        raise ValueError("orders must be strictly increasing")
     x = np.log(orders)
     y = np.log(errors)
     slope, stderr, s, resid = _ols(x, y)

@@ -23,8 +23,7 @@ __all__ = ["gamma", "bessel_j", "caputo_sin_series"]
 # the absolute error stays below 1.3e-11 for J_nu (nu in [-0.9, 6]) and
 # below 7.1e-11 for the sine derivative (alpha in [0.05, 0.99]).
 _MAX_ARG = 15.0
-_MAX_TERMS = 200  # bessel_j's series length before it reports non-convergence
-_MAX_SIN_TERMS = 1001  # caputo_sin_series' series length before it reports non-convergence
+_MAX_TERMS = 200  # series length before non-convergence is reported; up to _MAX_ARG both stop by term 37
 
 
 def _nonnegative(name: str, value, limit: float = math.inf) -> np.ndarray:
@@ -41,17 +40,17 @@ def _shaped(arr: np.ndarray, like):
     return arr if np.ndim(like) else float(arr)
 
 
-def _series(x, term, tol, denom, max_terms):
+def _series(x, term, tol, denom):
     """Sum series with terms t_m = -x t_(m-1) / denom(m) from t_0 = ``term``.
 
     Each term is added to the elements still in the boolean ``live`` mask;
     an element leaves it once a term falls below ``tol`` of its running sum
     (with an absolute floor).  Returns the sums and ``live``, which marks
-    the elements still unconverged after ``max_terms`` terms.
+    the elements still unconverged after _MAX_TERMS terms.
     """
     total, live = term.copy(), np.ones(term.shape, dtype=bool)
     ratio, bound = np.empty_like(term), np.empty_like(term)  # reused: fresh arrays cost page faults
-    for m in range(1, max_terms):
+    for m in range(1, _MAX_TERMS):
         if not live.any():
             break
         term *= np.divide(x, -denom(m), out=ratio)
@@ -75,7 +74,12 @@ def bessel_j(nu: float, x):
     out = np.full(xs.shape, 1.0 if nu == 0.0 else math.inf if nu < 0.0 else 0.0)
     nonzero = xs != 0.0
     hh = 0.5 * xs[nonzero]
-    sums, live = _series(hh * hh, hh**nu / gamma(nu + 1.0), 1e-16, lambda m: m * (nu + m), _MAX_TERMS)
+    try:
+        scale = gamma(nu + 1.0)  # raises before hh**nu could overflow
+        lead = hh**nu / scale
+    except OverflowError:  # nu > 170.6
+        lead = np.exp(nu * np.log(hh) - math.lgamma(nu + 1.0))
+    sums, live = _series(hh * hh, lead, 1e-16, lambda m: m * (nu + m))
     if live.any():
         raise RuntimeError(f"bessel_j series did not converge for nu={nu:g}, x={xs[nonzero][live][0]:g}")
     out[nonzero] = sums
@@ -95,7 +99,7 @@ def caputo_sin_series(alpha: float, t):
     ts = _nonnegative("t", t, _MAX_ARG)
     term = np.full(ts.shape, 1.0 / gamma(2.0 - alpha))
     denom = lambda m: (2 * m - alpha) * (2 * m + 1.0 - alpha)
-    sums, live = _series(ts * ts, term, 1e-15, denom, _MAX_SIN_TERMS)
+    sums, live = _series(ts * ts, term, 1e-15, denom)
     if live.any():
         raise RuntimeError("caputo_sin_series failed to converge")
     return _shaped(sums * ts ** (1.0 - alpha), t)

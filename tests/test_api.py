@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -98,3 +99,15 @@ def test_sources_parse_as_python_3_10(folder):
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+
+
+def test_readme_quick_start_prints_its_claim(capsys):
+    # the README's only runnable library example; its comment claims the error it prints
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S).group(1)
+    claim = float(re.search(r"# ~(\S+) at N=50$", block, re.M).group(1))
+    exec(compile(block, "README.md", "exec"), {})
+    printed = float(capsys.readouterr().out)
+    assert f"{printed:.1e}" == f"{claim:.1e}" == "1.7e-03"

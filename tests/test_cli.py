@@ -87,6 +87,17 @@ class TestSlopeFit:
             report.fit_loglog(orders, errors)
 
 
+    @pytest.mark.parametrize(
+        "orders,errors",
+        [([10, 10, 10], [0.1, 0.02, 0.003]), ([160, 80, 40, 20, 10], [1e-5, 3e-5, 1e-4, 3e-4, 1e-3])],
+        ids=["repeated", "descending"],
+    )
+    def test_refuses_orders_not_increasing(self, orders, errors):
+        # repeated orders gave slope=nan; descending ones were fitted, and the exclusion could drop the largest N
+        with pytest.raises(ValueError, match="^orders must be strictly increasing$"):
+            report.fit_loglog(orders, errors)
+
+
 class TestTheoreticalExponent:
     def test_values(self):
         a = 0.6
@@ -616,16 +627,33 @@ class TestConvergenceCommand:
     "flags,message",
     [
         (["--case", "cubic", "--sweep", "10,20,30"], "needs a sweep of at least 4 orders"),
-        (["--input", "s.csv", "--alpha", "0.5"], "requires a built-in case (an exact reference)"),
+        # a sweep needs the exact reference only a built-in case has, so --input is deriv's alone
+        (["--input", "s.csv", "--alpha", "0.5"], "unrecognized arguments: --input s.csv"),
         (["--case", "cubic", "--sweep", "5"], "needs a sweep of at least 4 orders"),
     ],
 )
 def test_sweep_refusals(tmp_path, capsys, monkeypatch, command, flags, message):
     monkeypatch.chdir(tmp_path)
     write_ramp(tmp_path / "s.csv")
-    assert main([command, *flags, "--out", "x"]) == 1
-    assert capsys.readouterr().err == f"error: {command} {message}\n"
+    if "--input" in flags:  # argparse's usage error
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--out", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"caputodr: error: {message}\n")
+    else:
+        assert main([command, *flags, "--out", "x"]) == 1
+        assert capsys.readouterr().err == f"error: {command} {message}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "s.csv"]
+
+
+@pytest.mark.parametrize("command", ["convergence", "compare"])
+def test_sweep_help_omits_input(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--input" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["deriv", "--help"])
+    assert "--input INPUT" in capsys.readouterr().out
 
 
 class TestCompareCommand:

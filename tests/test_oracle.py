@@ -40,6 +40,14 @@ class TestExactPower:
         with pytest.raises(ValueError, match=f"^p must be positive and finite, got p={p!r}$"):
             exact_power(p, 0.5, 1.0)
 
+    @pytest.mark.parametrize("p", [171.5, 200.0, 1e4, 1e300])
+    def test_order_past_gamma_overflow(self, p):
+        # Gamma(p + 1) overflows: these raised OverflowError, and a difference of lgamma values keeps
+        # no digit at p = 1e300, where the ratio is ~p^alpha
+        with mpmath.workdps(340):
+            ref = mpmath.gammaprod([mpmath.mpf(p) + 1], [mpmath.mpf(p) + mpmath.mpf(0.5)])
+        assert exact_power(p, 0.5, 1.0) == pytest.approx(float(ref), rel=1e-12)
+
     def test_overflow_is_refused(self):
         # it returned inf with a RuntimeWarning
         with pytest.raises(ValueError, match=r"^exact_power\(3, 0\.6\) overflows at t=1e\+160$"):
@@ -89,6 +97,17 @@ class TestExactBessel:
         for ti, gi in zip(t[1:], got[1:]):
             ref = mpmath.mpf(ti) ** 1.25 * mpmath.besselj(2.5, 2 * mpmath.sqrt(ti))
             assert gi == pytest.approx(float(ref), rel=1e-12)
+
+    def test_order_past_gamma_overflow(self):
+        # Gamma(175.5) overflows: this raised OverflowError
+        ref = mpmath.mpf(50) ** 87.25 * mpmath.besselj(174.5, 2 * mpmath.sqrt(50))
+        assert exact_bessel(175.0, 0.5, 50.0) == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("nu,t", [(290.5, 30.0), (400.5, 56.0)])
+    def test_underflowing_j_is_refused(self, nu, t):
+        # J_(nu-alpha) underflows while t^((nu-alpha)/2) is huge: 0.0 and inf * 0 = nan (true values 3.5e-162, 2.6e-170)
+        with pytest.raises(ValueError, match=rf"^J_{nu - 0.5:g}\(2 sqrt\(t\)\) underflows at t={t:g}$"):
+            exact_bessel(nu, 0.5, np.array([1.0, t]))
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -38,26 +38,30 @@ def christoffel_scaled_weights(nodes, gamma):
 
 
 class TestJacobiMatrix:
+    """The rule's nodes are the eigenvalues of diag 2k + gamma + 1, off-diagonal sqrt(k (k + gamma))."""
+
     def test_order_one(self):
-        diag, off = quadrature.jacobi_matrix(1, 0.0)
-        assert diag.tolist() == [1.0]
-        assert off.size == 0
+        assert quadrature.gauss_laguerre(1, 0.0).nodes.tolist() == [1.0]
 
     def test_order_two(self):
-        diag, off = quadrature.jacobi_matrix(2, 0.5)
-        assert diag.tolist() == [1.5, 3.5]
-        assert off.tolist() == [math.sqrt(1.5)]
+        # [[1.5, sqrt(1.5)], [sqrt(1.5), 3.5]] has eigenvalues 2.5 -+ sqrt(2.5)
+        nodes = quadrature.gauss_laguerre(2, 0.5).nodes
+        assert nodes == pytest.approx([2.5 - math.sqrt(2.5), 2.5 + math.sqrt(2.5)], rel=1e-14)
 
     def test_order_three_negative_gamma(self):
-        diag, off = quadrature.jacobi_matrix(3, -0.6)
-        assert np.allclose(diag, [0.4, 2.4, 4.4], rtol=0, atol=1e-15)
-        assert np.allclose(off, [math.sqrt(0.4), math.sqrt(2.8)], rtol=1e-15)
+        e1, e2 = math.sqrt(0.4), math.sqrt(2.8)
+        matrix = mpmath.matrix([[0.4, e1, 0.0], [e1, 2.4, e2], [0.0, e2, 4.4]])
+        ref = sorted(float(v) for v in mpmath.eigsy(matrix)[0])
+        assert quadrature.gauss_laguerre(3, -0.6).nodes == pytest.approx(ref, rel=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            quadrature.jacobi_matrix(0, 0.0)
-        with pytest.raises(ValueError):
-            quadrature.jacobi_matrix(3, -1.0)
+        for order, gamma, message in [
+            (0, 0.0, "order must be >= 1, got 0"),
+            (3, -1.0, "gamma must exceed -1 and be finite, got -1"),
+            (3, math.nan, "gamma must exceed -1 and be finite, got nan"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                quadrature.gauss_laguerre(order, gamma)
 
 
 class TestGaussLaguerre:
@@ -216,10 +220,6 @@ class TestIntegerOrder:
         # unchecked, order 2.5 would build 3 nodes under order == 2
         with pytest.raises(ValueError, match=rf"^order must be an integer, got order={order!r}$"):
             quadrature.gauss_laguerre(order, 0.0)
-
-    def test_jacobi_matrix_refuses_non_integer(self):
-        with pytest.raises(ValueError, match=r"^order must be an integer, got order=2\.5$"):
-            quadrature.jacobi_matrix(2.5, 0.0)
 
     def test_numpy_float_order_is_named_plainly(self):
         # numpy 2 would print np.float64(2.5)

@@ -103,6 +103,13 @@ class TestBesselJ:
         with pytest.raises(RuntimeError, match="nu=3, x=4"):
             specfun.bessel_j(3.0, 4.0)
 
+    @pytest.mark.parametrize("nu,x", [(172.0, 15.0), (200.0, 1.0), (250.0, 15.0)])
+    def test_order_past_gamma_overflow(self, nu, x):
+        # Gamma(nu + 1) overflows: these raised OverflowError; J_200(1) underflows to exactly 0
+        ref = float(mpmath.besselj(nu, x))
+        got = specfun.bessel_j(nu, x)
+        assert got == ref if ref == 0.0 else got == pytest.approx(ref, rel=1e-12)
+
     def test_recurrence(self):
         # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x)
         for nu in (1.0, 2.0, 3.0):
@@ -147,7 +154,7 @@ class TestCaputoSinSeries:
             specfun.caputo_sin_series(0.5, np.array([1.0, 0.0, -2.0]))
 
     def test_non_convergence_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_MAX_SIN_TERMS", 3)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match="^caputo_sin_series failed to converge$"):
             specfun.caputo_sin_series(0.5, np.array([1.0, 4.0]))
 
@@ -180,6 +187,17 @@ class TestArgumentLimit:
         with mpmath.workdps(40):
             ref = _caputo_sin_mpmath(alpha, self.LIMIT)
         assert abs(specfun.caputo_sin_series(alpha, self.LIMIT) - ref) <= 1e-10
+
+    def test_series_stop_within_40_terms(self, monkeypatch):
+        # measured: both stop by term 37 up to 15, for nu in [-0.999, 150] and alpha in [0.001, 0.999]
+        x = np.linspace(0.0, self.LIMIT, 1501)
+        bessel = {nu: specfun.bessel_j(nu, x) for nu in (-0.999, -0.1, 0.0, 0.5, 2.5, 10.0, 150.0)}
+        sine = {alpha: specfun.caputo_sin_series(alpha, x) for alpha in (0.001, 0.25, 0.521, 0.999)}
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 40)
+        for nu, want in bessel.items():
+            assert np.array_equal(specfun.bessel_j(nu, x), want)
+        for alpha, want in sine.items():
+            assert np.array_equal(specfun.caputo_sin_series(alpha, x), want)
 
     def test_bessel_above_limit(self):
         with pytest.raises(ValueError, match="at most 15"):
