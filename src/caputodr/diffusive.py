@@ -518,6 +518,8 @@ def kernel_reference(
         raise ValueError(f"z must be positive and finite, got z={float(z)!r}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be non-negative and finite, got t={float(t)!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol={float(tol)!r}")
     if signal.y_prime is None:
         raise ValueError("kernel_reference requires a signal with an analytic derivative")
     a = _alpha_value(alpha)
@@ -530,7 +532,10 @@ def kernel_reference(
     def integrand(tau):
         return kernel((t - tau) * rate) * yp(tau)
 
-    panels = max(4, math.ceil(8.0 * t * rate / (2.0 * math.pi)))
+    need = 8.0 * t * rate / (2.0 * math.pi)  # panels for 8 per oscillation period
+    if not need <= _MAX_PANELS:  # written so that inf fails it
+        raise ValueError(f"kernel_reference needs {need:.0f} panels at z={z:g}, t={t:g}, over the limit {_MAX_PANELS}")
+    panels = max(4, math.ceil(need))
     prev = _composite_gauss(integrand, 0.0, t, panels)
     while panels <= _MAX_PANELS:
         panels *= 2

@@ -25,7 +25,7 @@ __all__ = [
 
 
 def exact_power(p: float, alpha, t):
-    """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha); raises where a finite t overflows it."""
+    """Caputo derivative of t^p: Gamma(p+1)/Gamma(p+1-alpha) * t^(p-alpha); raises if a finite t > 0 overflows it."""
     if not 0.0 < p < math.inf:  # written so that nan fails it
         raise ValueError(f"p must be positive and finite, got p={float(p)!r}")
     a = _alpha_value(alpha)
@@ -36,9 +36,9 @@ def exact_power(p: float, alpha, t):
         tail = lambda z: (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z  # log Gamma(z) past its leading Stirling terms
         ratio = math.exp(a * math.log(x) - (y - 0.5) * math.log1p(-a / x) - a + tail(x) - tail(y))
     times = specfun._nonnegative("t", t)
-    with np.errstate(over="ignore"):  # checked below
+    with np.errstate(over="ignore", divide="ignore"):  # a pole at t = 0 is +inf; an overflow is refused below
         out = ratio * times ** (p - a)
-    big = np.isinf(out) & np.isfinite(times)
+    big = np.isinf(out) & (0.0 < times) & (times < math.inf)
     if big.any():
         raise ValueError(f"exact_power({p:g}, {a:g}) overflows at t={times[big].flat[0]:g}")
     return specfun._shaped(out, t)
@@ -46,11 +46,13 @@ def exact_power(p: float, alpha, t):
 
 def _bessel_profile(mu: float, t):
     """t^(mu/2) J_mu(2 sqrt(t)): the Bessel case's y (mu = nu), y' (nu - 1) and Caputo derivative (nu - alpha)."""
+    t = specfun._nonnegative("t", t, (0.5 * specfun._MAX_ARG) ** 2)
     j = specfun.bessel_j(mu, 2.0 * np.sqrt(t))
-    lost = (np.abs(j) < 1e-280) & (t > 1.0)  # J's digits lost to underflow (mu past ~250), which t^(mu/2) magnifies
-    if np.any(lost):
-        raise ValueError(f"J_{mu:g}(2 sqrt(t)) underflows at t={np.asarray(t)[lost].flat[0]:g}")
-    return t ** (0.5 * mu) * j
+    lost = (np.abs(j) < np.finfo(float).tiny) & (t > 1.0)  # J's digits lost to underflow, which t^(mu/2) magnifies
+    if lost.any():
+        raise ValueError(f"J_{mu:g}(2 sqrt(t)) underflows at t={t[lost].flat[0]:g}")
+    with np.errstate(divide="ignore"):  # a pole at t = 0 (mu < 0) is +inf, as J_mu(0) is
+        return t ** (0.5 * mu) * j
 
 
 def exact_sin(alpha, t):
@@ -63,7 +65,7 @@ def exact_bessel(nu: float, alpha, t):
     a = _alpha_value(alpha)
     if not -1.0 < nu - a < math.inf:  # written so that nan fails it
         raise ValueError(f"need nu finite and nu - alpha > -1, got nu={float(nu)!r}, alpha={a:g}")
-    return specfun._shaped(_bessel_profile(nu - a, specfun._nonnegative("t", t)), t)
+    return specfun._shaped(_bessel_profile(nu - a, t), t)
 
 
 def caputo_l1(signal: Signal, alpha, grid: TimeGrid) -> np.ndarray:

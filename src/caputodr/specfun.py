@@ -44,9 +44,9 @@ def _series(x, term, tol, denom):
     """Sum series with terms t_m = -x t_(m-1) / denom(m) from t_0 = ``term``.
 
     Each term is added to the elements still in the boolean ``live`` mask;
-    an element leaves it once a term falls below ``tol`` of its running sum
-    (with an absolute floor).  Returns the sums and ``live``, which marks
-    the elements still unconverged after _MAX_TERMS terms.
+    an element stays in it while a term exceeds ``tol`` of its running sum
+    (a term that underflows to 0 ends it).  Returns the sums and ``live``,
+    which marks the elements still unconverged after _MAX_TERMS terms.
     """
     total, live = term.copy(), np.ones(term.shape, dtype=bool)
     ratio, bound = np.empty_like(term), np.empty_like(term)  # reused: fresh arrays cost page faults
@@ -56,7 +56,7 @@ def _series(x, term, tol, denom):
         term *= np.divide(x, -denom(m), out=ratio)
         np.add(total, term, out=total, where=live)
         np.multiply(np.abs(total, out=bound), tol, out=bound)
-        live &= np.abs(term, out=ratio) >= np.add(bound, 1e-300, out=bound)
+        live &= np.abs(term, out=ratio) > bound
     return total, live
 
 
@@ -66,7 +66,7 @@ def bessel_j(nu: float, x):
     ``x`` is a float or an array of any shape, each element in [0, 15];
     the result is a float or an array of that shape.  Needs nu > -1; at
     x = 0 it gives 1, 0 or +inf as nu is 0, above 0 or below 0.  Each
-    element's series is summed until a term drops below 1e-16 of its sum.
+    element's series is summed until a term is at most 1e-16 of its sum.
     """
     if not -1.0 < nu < math.inf:  # written so that nan fails it
         raise ValueError(f"bessel_j requires a finite nu > -1, got nu={float(nu)!r}")
@@ -91,8 +91,7 @@ def caputo_sin_series(alpha: float, t):
 
     Evaluates t^(1-alpha) * sum_k (-t^2)^k / Gamma(2k+2-alpha) elementwise
     over a float or an array ``t`` in [0, 15], truncating each element's
-    series once a term falls below 1e-15 of its partial sum (with an
-    absolute floor); t=0 gives 0.
+    series once a term is at most 1e-15 of its partial sum; t=0 gives 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")

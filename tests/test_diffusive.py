@@ -254,12 +254,33 @@ class TestKernelReference:
         with pytest.raises(ValueError, match=r"^t must be non-negative and finite, got t=-1\.0$"):
             kernel_reference(Method.YA, 0.5, 1.0, np.float64(-1.0), QUADRATIC)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
+        # nan and -1 ran 2^20 panels (1.5-1.7 s) before raising "did not reach tol"
+        monkeypatch.setattr(diffusive, "_composite_gauss", _never_integrate)
+        with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got tol={tol!r}$"):
+            kernel_reference(Method.CDR, 0.4, 1.0, 1.0, QUADRATIC, tol=tol)
+
+    @pytest.mark.parametrize(
+        "method,z,need", [(Method.CDR, 1e6, "1273240"), (Method.YA, 1e200, "inf")], ids=["CDR", "YA"]
+    )
+    def test_panel_count_past_limit_is_refused_first(self, monkeypatch, method, z, need):
+        # CDR evaluated 12.7 million integrand points before raising; YA's rate z^2 = inf raised OverflowError
+        monkeypatch.setattr(diffusive, "_composite_gauss", _never_integrate)
+        msg = rf"^kernel_reference needs {need} panels at z={z:g}, t=1, over the limit 1048576$"
+        with pytest.raises(ValueError, match=msg.replace("+", r"\+")):
+            kernel_reference(method, 0.5, z, 1.0, QUADRATIC)
+
     def test_panel_limit_is_an_error(self, monkeypatch):
         # y' = 1.5 sqrt(t) is not smooth at 0, so 4 and 8 panels differ by far more than tol
         monkeypatch.setattr(diffusive, "_MAX_PANELS", 4)
         rough = Signal(y=lambda t: t**1.5, y_prime=lambda t: 1.5 * np.sqrt(t))
         with pytest.raises(RuntimeError, match=r"did not reach tol=1e-15 within 4 panels"):
             kernel_reference(Method.CDR, 0.4, 1.0, 1.0, rough, tol=1e-15)
+
+
+def _never_integrate(*args):
+    raise AssertionError("kernel_reference integrated before refusing")
 
 
 def _step_single_node(method, solver, alpha, z, t_end, h, signal):
@@ -665,7 +686,7 @@ class TestSampleFallback:
             diffusive._sample(broken, self.TIMES)
 
     def test_out_of_range_signal_fails_on_first_call(self):
-        # the bessel series refuses arguments past 15: one call, no per-point retry
+        # the bessel profile refuses t past (15/2)^2, naming the first: one call, no per-point retry
         case = builtin_cases()["bessel"]
         calls = []
 
@@ -674,7 +695,7 @@ class TestSampleFallback:
             return case.signal.y_prime(t)
 
         signal = Signal(y=case.signal.y, y_prime=counted)
-        with pytest.raises(ValueError, match="at most 15"):
+        with pytest.raises(ValueError, match=r"^t must be at most 56\.25, got t=56\.2526$"):
             caputo_derivative(Method.CDR, "euler", 0.5, 50, TimeGrid(400.0, 100_000), signal)
         assert len(calls) == 1
 

@@ -53,6 +53,17 @@ class TestExactPower:
         with pytest.raises(ValueError, match=r"^exact_power\(3, 0\.6\) overflows at t=1e\+160$"):
             exact_power(3.0, 0.6, np.array([0.0, 1e100, 1e160, 2e160]))
 
+    def test_pole_at_origin_is_inf(self):
+        # p < alpha: it warned of a division by zero, then raised "exact_power(0.5, 0.6) overflows at t=0"
+        assert exact_power(0.5, 0.6, 0.0) == math.inf
+        out = exact_power(0.5, 0.6, np.array([0.0, 1.0]))
+        assert out[0] == math.inf and out[1] == pytest.approx(math.gamma(1.5) / math.gamma(0.9), rel=1e-14)
+
+    def test_overflow_next_to_a_pole_is_refused(self):
+        # t^(-0.98) overflows at the smallest subnormal t: that t is named, not the pole at 0
+        with pytest.raises(ValueError, match=r"^exact_power\(0\.01, 0\.99\) overflows at t=4\.94066e-324$"):
+            exact_power(0.01, 0.99, np.array([0.0, 5e-324]))
+
 
 class TestExactSin:
     def test_origin(self):
@@ -108,6 +119,31 @@ class TestExactBessel:
         # J_(nu-alpha) underflows while t^((nu-alpha)/2) is huge: 0.0 and inf * 0 = nan (true values 3.5e-162, 2.6e-170)
         with pytest.raises(ValueError, match=rf"^J_{nu - 0.5:g}\(2 sqrt\(t\)\) underflows at t={t:g}$"):
             exact_bessel(nu, 0.5, np.array([1.0, t]))
+
+    @pytest.mark.parametrize("nu,t", [(270.5, 56.25), (265.5, 50.0)])
+    def test_small_normal_j_is_accurate(self, nu, t):
+        # J = 2.3e-305 and 2.2e-304, still in double's normal range: these were refused below 1e-280
+        mu = nu - 0.5
+        ref = mpmath.mpf(t) ** (mu / 2) * mpmath.besselj(mu, 2 * mpmath.sqrt(t))
+        assert exact_bessel(nu, 0.5, t) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_subnormal_j_is_refused(self):
+        # J_260(2 sqrt(40)) = 4.1e-309 is below the smallest normal double, 2.2e-308
+        with pytest.raises(ValueError, match=r"^J_260\(2 sqrt\(t\)\) underflows at t=40$"):
+            exact_bessel(260.5, 0.5, 40.0)
+
+    def test_pole_at_origin_is_inf(self):
+        # nu - alpha = -0.2: t^(-0.1) J_-0.2(0) returned inf with numpy's divide-by-zero warning
+        assert exact_bessel(0.3, 0.5, 0.0) == math.inf
+
+    def test_time_past_series_range_is_named(self):
+        # 2 sqrt(t) <= 15: the case's y, y' and exact reference all name t, not the series argument
+        case = builtin_cases()["bessel"]
+        t = np.array([1.0, 56.25, 56.26, 60.0])
+        for f in (lambda t: exact_bessel(3.0, 0.5, t), case.signal.y, case.signal.y_prime):
+            with pytest.raises(ValueError, match=r"^t must be at most 56\.25, got t=56\.26$"):
+                f(t)
+        assert np.isfinite(exact_bessel(3.0, 0.5, 56.25))
 
     def test_domain(self):
         with pytest.raises(ValueError):

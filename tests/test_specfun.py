@@ -110,6 +110,17 @@ class TestBesselJ:
         got = specfun.bessel_j(nu, x)
         assert got == ref if ref == 0.0 else got == pytest.approx(ref, rel=1e-12)
 
+    def test_small_j_keeps_its_digits(self):
+        # an absolute floor of 1e-300 in the stopping test ended a series after one term once |J| < ~1e-284:
+        # J_267.03(15) came out 2.5% low; where J has left the normal range no digits are asked for
+        x = np.array([0.5, 3.0, 10.0, 15.0])
+        for nu in [*np.linspace(170.7, 280.0, 64), 267.03]:
+            ref = np.array([float(mpmath.besselj(nu, xi)) for xi in x])
+            normal = np.abs(ref) >= np.finfo(float).tiny
+            got = specfun.bessel_j(nu, x)
+            np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-12, atol=0.0, err_msg=f"nu={nu}")
+        assert specfun.bessel_j(200.0, 1.0) == 0.0  # its leading term underflows: the series stops at once
+
     def test_recurrence(self):
         # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x)
         for nu in (1.0, 2.0, 3.0):
