@@ -1,8 +1,8 @@
 """Experiment harness: pointwise error tables, E_inf sweeps, rule inspection.
 
-Every command writes deterministic CSV plus a gnuplot companion script;
-timestamps and version stamps live in a ``.meta.json`` sidecar so repeated
-runs with the same configuration produce byte-identical data files.
+Every command writes deterministic CSV, and all but ``nodes`` a gnuplot companion
+script; timestamps and version stamps live in a ``.meta.json`` sidecar (none for
+``nodes`` without ``--out``) so repeated runs produce byte-identical data files.
 """
 
 import argparse
@@ -55,43 +55,41 @@ def _parse_sweep(text: str):
     return values
 
 
-def _number(text: str) -> float:
-    """``text`` read as ``np.loadtxt`` reads a field: ``float`` alone also takes digit separators and non-ASCII digits."""
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
+def _table(lines):
+    """``lines`` read by ``np.loadtxt`` as an (n, 2) table, or None where it refuses them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty table warns
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    return rows if rows.shape[1] == 2 else None
 
 
 def load_samples(path):
     """Read a two-column t,y CSV, naming any malformed row; ``Signal.from_samples`` checks the samples.
 
-    One ``np.loadtxt`` call parses the rows.  A file it refuses is read again row by row, only to name
-    the row it refuses: the file is never accepted, and only an empty table reaches the sample checks.
+    One ``np.loadtxt`` call parses the rows.  Where it refuses the file, bisecting the non-empty lines
+    with the same call names the first row it refuses: rows of two columns each parse independently.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,y":
             raise ValueError(f"sample file must start with header 't,y', got {header!r}")
         start = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty table warns
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == 2:
-                return tuple(np.ascontiguousarray(rows.T))
-        except (ValueError, UserWarning):
-            pass
+        rows = _table(fh)
+        if rows is not None:
+            return tuple(np.ascontiguousarray(rows.T))
         fh.seek(start)
         lines = [line for line in fh if line != "\n"]  # np.loadtxt skips empty lines, not blank ones
-    for row, line in enumerate(lines, 1):
-        try:
-            a, b = line.split(",")
-            _number(a), _number(b)
-        except ValueError as exc:
-            raise ValueError(f"sample row {row}: {exc}") from None
-    if lines:  # not reached while _number is no more lenient than np.loadtxt; refused if it ever is
-        raise ValueError("np.loadtxt refuses the sample file, though each row reads as two numbers")
-    return np.empty(0), np.empty(0)
+    if not lines:
+        return np.empty(0), np.empty(0)
+    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] holds the first row that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _table(lines[lo:mid]) is not None else (lo, mid)
+    row = lines[lo].rstrip("\n")
+    raise ValueError(f"sample row {lo + 1} is not two numbers: {row!r}")
 
 
 def _phase_check(h: float, order: int, alpha: float, methods) -> None:

@@ -90,11 +90,12 @@ class Method(enum.Enum):
     def weight_exponent(self, alpha: float) -> float:
         """Exponent gamma of the Gauss-Laguerre weight z^gamma exp(-z)."""
         a = _alpha_value(alpha)
-        if self is Method.CDR:
-            return a - 1.0
         if self is Method.SDR:
             return a
-        return 2.0 * a - 1.0
+        gamma = a - 1.0 if self is Method.CDR else 2.0 * a - 1.0
+        if gamma == -1.0:  # z^-1 exp(-z) is not integrable
+            raise ValueError(f"alpha={a!r} is too small for {self.value}: its weight exponent rounds to -1")
+        return gamma
 
     def forcing_coefficient(self, alpha: float) -> float:
         """Constant multiplying the forcing term of the state ODE."""
@@ -127,7 +128,7 @@ def _alpha_value(alpha) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = (k-1) h on [0, T] with h = T / (n-1)."""
+    """Uniform grid t_k = (k-1) h on [0, T] with h = T / (n-1); its last point is T exactly."""
 
     horizon: float
     count: int
@@ -144,7 +145,7 @@ class TimeGrid:
         return self.horizon / (self.count - 1)
 
     def times(self) -> np.ndarray:
-        return np.arange(self.count) * self.step
+        return np.linspace(0.0, self.horizon, self.count)  # arange(n) * step, with T itself last
 
 
 @dataclass(frozen=True)

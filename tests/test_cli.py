@@ -309,6 +309,28 @@ class TestDerivCommand:
         # the first grid time past (15/2)^2, where 2 sqrt(t) leaves the series' range
         assert capsys.readouterr().err == "error: t must be at most 56.25, got t=56.2526\n"
 
+    @pytest.mark.parametrize("case,horizon,count", [("sine", "15", "30"), ("bessel", "56.25", "50")])
+    def test_grid_ends_on_the_reference_limit(self, tmp_path, capsys, case, horizon, count):
+        # the last grid time overshot T by an ulp: "t must be at most 15, got t=15"
+        assert main(["deriv", "--case", case, "--T", horizon, "--n", count, "--out", str(tmp_path / "x")]) == 0
+        assert "error:" not in capsys.readouterr().err
+        last = (tmp_path / "x_pointwise.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == float(horizon)
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--alpha", "1e-300"], "alpha=1e-300 is too small for CDR: its weight exponent rounds to -1"),
+            (["--method", "YA", "--alpha", "1e-17"], "alpha=1e-17 is too small for YA: its weight exponent rounds to -1"),
+        ],
+        ids=["CDR", "YA"],
+    )
+    def test_tiny_alpha_is_named(self, tmp_path, capsys, flags, message):
+        # gauss_laguerre refused the rounded exponent: "gamma must exceed -1 and be finite, got -1"
+        assert main(["deriv", "--case", "cubic", *flags, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_case_and_input_conflict(self, tmp_path, capsys):
         sample = tmp_path / "s.csv"
         sample.write_text("t,y\n0.0,0.0\n1.0,1.0\n")
@@ -515,18 +537,18 @@ class TestSampleLoading:
         assert code == 1
         assert capsys.readouterr().err == "error: sample grid must start at t=0\n"
 
-    @pytest.mark.parametrize(
-        "row,reason",
-        [("0.5,1.0,2", "too many values to unpack"), ("0.5,one", "could not convert string to float")],
-    )
-    def test_malformed_row_is_named(self, tmp_path, capsys, row, reason):
+    @pytest.mark.parametrize("row", ["0.5,1.0,2", "0.5,one"])
+    def test_malformed_row_is_named(self, tmp_path, capsys, row):
+        # the empty line is skipped: the row after it is row 2
         f = tmp_path / "bad.csv"
         f.write_text(f"t,y\n0.0,0.0\n\n{row}\n1.0,1.0\n")
-        with pytest.raises(ValueError, match=f"sample row 2: {reason}"):
+        message = f"sample row 2 is not two numbers: {row!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_samples(f)
         code = main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: sample row 2: {reason}")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
     def test_non_finite_row(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
@@ -555,30 +577,72 @@ class TestSampleParsing:
         assert [a.tolist() for a in load_samples(f)] == list(map(list, want))
 
     @pytest.mark.parametrize(
-        "row,reason",
+        "row",
         [
-            ("0.5,1_0", "could not convert string to float: '1_0\\n'"),  # float() reads digit separators
-            ("0.5,\u0661", "could not convert string to float: '\u0661\\n'"),  # and non-ASCII digits
-            ("  ", "not enough values to unpack (expected 2, got 1)"),  # a whitespace-only line
+            "0.5,1_0",  # float() reads digit separators
+            "0.5,\u0661",  # and non-ASCII digits
+            "  ",  # a whitespace-only line
         ],
         ids=["separator", "arabic-indic", "blank"],
     )
-    def test_row_scan_refuses_what_the_fast_parse_refuses(self, tmp_path, capsys, row, reason):
+    def test_row_scan_refuses_what_the_fast_parse_refuses(self, tmp_path, capsys, row):
         # each file was read (the first as y = 10, the second as y = 1) and the run exited 0
         f = tmp_path / "s.csv"
         f.write_text(f"t,y\n0,0\n{row}\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^sample row 2: {re.escape(reason)}$"):
+        message = f"sample row 2 is not two numbers: {row!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_samples(f)
         assert main(["deriv", "--input", str(f), "--alpha", "0.5", "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr() == ("", f"error: sample row 2: {reason}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
-    def test_row_scan_never_accepts_a_refused_file(self, tmp_path, monkeypatch):
-        # should the field read grow as lenient as float(), the file is still refused
-        monkeypatch.setattr(cli, "_number", float)
+    def test_names_the_first_row_np_loadtxt_refuses_alone(self, tmp_path):
+        def refused_alone(line):
+            try:
+                return np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape != (1, 2)
+            except ValueError:
+                return True
+
+        bad = ["0.5,1,2", "0.5", "  ", "0.5,1_0", "0.5,\u0661", "0.5,one", "t,y"]
+        rng = np.random.default_rng(30)
+        for k in range(240):
+            rows = [f"{i / 8!r},{v!r}" for i, v in enumerate(rng.standard_normal(rng.integers(1, 12)).tolist())]
+            for _ in range(k % 4):  # 0-3 bad rows, anywhere
+                rows.insert(int(rng.integers(0, len(rows) + 1)), bad[int(rng.integers(0, len(bad)))])
+            if rng.random() < 0.3:
+                rows.insert(int(rng.integers(0, len(rows) + 1)), "")  # an empty line, skipped and not counted
+            f = tmp_path / f"s{k}.csv"
+            f.write_text("t,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+            lines = [r for r in rows if r]
+            first = next((i for i, line in enumerate(lines) if refused_alone(line)), None)
+            if first is None:
+                times, values = load_samples(f)
+                assert np.array_equal(np.stack([times, values], axis=1), np.loadtxt(lines, delimiter=",", ndmin=2))
+                continue
+            message = f"sample row {first + 1} is not two numbers: {lines[first]!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_samples(f)
+
+    def test_bad_last_row_costs_a_logarithmic_number_of_parses(self, tmp_path, monkeypatch):
+        table, calls = cli._table, []
+
+        def counted(lines):
+            calls.append(lines)
+            return table(lines)
+
+        monkeypatch.setattr(cli, "_table", counted)
+        n = 100_000
         f = tmp_path / "s.csv"
-        f.write_text("t,y\n0,0\n0.5,1_0\n1,2\n")
-        with pytest.raises(ValueError, match="^np.loadtxt refuses the sample file, though each row reads as two numbers$"):
+        f.write_text("t,y\n" + "".join(f"{i},{i}\n" for i in range(n - 1)) + "0.5,one\n")
+        with pytest.raises(ValueError, match=f"^sample row {n} is not two numbers: '0\\.5,one'$"):
+            load_samples(f)
+        assert len(calls) <= math.ceil(math.log2(n)) + 2
+
+    def test_three_columns_throughout_are_named_at_row_1(self, tmp_path):
+        # np.loadtxt reads this file without complaint, as a (2, 3) table
+        f = tmp_path / "s.csv"
+        f.write_text("t,y\n0,0,0\n1,1,1\n")
+        with pytest.raises(ValueError, match="^sample row 1 is not two numbers: '0,0,0'$"):
             load_samples(f)
 
 

@@ -48,6 +48,16 @@ class TestTypes:
         with pytest.raises(ValueError, match=rf"^count must be an integer, got count={count!r}$"):
             TimeGrid(horizon=1.0, count=count)
 
+    @pytest.mark.parametrize("horizon", [0.1, 1.0, 3.0, 15.0, 56.25])
+    def test_time_grid_ends_on_its_horizon(self, horizon):
+        # arange(n) * step overshot T by an ulp for 225 of these sizes at T = 15 (3.0000000000000004 at n = 1e4)
+        for count in range(2, 2001):
+            grid = TimeGrid(horizon=horizon, count=count)
+            times = grid.times()
+            assert times[-1] == horizon
+            assert np.array_equal(times[:-1], np.arange(count - 1) * grid.step)
+        assert TimeGrid(horizon=3.0, count=10_000).times()[-1] == 3.0
+
     def test_time_grid_takes_numpy_integers(self):
         assert TimeGrid(horizon=1.0, count=np.int64(3)).times().tolist() == [0.0, 0.5, 1.0]
 
@@ -140,6 +150,23 @@ class TestTypes:
         assert Method.CDR.weight_exponent(a) == pytest.approx(a - 1)
         assert Method.SDR.weight_exponent(a) == pytest.approx(a)
         assert Method.ISDR.weight_exponent(a) == pytest.approx(2 * a - 1)
+
+    @pytest.mark.parametrize(
+        "method,alpha", [(Method.CDR, 1e-300), (Method.YA, 1e-17), (Method.ISDR, 1e-17)], ids=["CDR", "YA", "ISDR"]
+    )
+    def test_tiny_alpha_is_named(self, method, alpha):
+        # the exponent alpha - 1 (2 alpha - 1) rounds to -1; gauss_laguerre refused it as "gamma ... got -1"
+        message = f"alpha={alpha!r} is too small for {method.value}: its weight exponent rounds to -1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            method.weight_exponent(alpha)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            caputo_derivative(method, "euler", alpha, 10, TimeGrid(horizon=1.0, count=11), QUADRATIC)
+
+    @pytest.mark.parametrize("method,alpha", [(Method.CDR, 1e-16), (Method.SDR, 1e-300)], ids=["CDR", "SDR"])
+    def test_small_alpha_with_a_usable_exponent_runs(self, method, alpha):
+        assert method.weight_exponent(alpha) > -1.0
+        approx = caputo_derivative(method, "euler", alpha, 10, TimeGrid(horizon=1.0, count=11), QUADRATIC)
+        assert np.all(np.isfinite(approx))
 
     def test_initial_state(self):
         st = initial_state(Method.CDR, 0.4, 3, initial_slope=2.0)
